@@ -20,16 +20,31 @@ import numpy as np
 
 from .fields import FieldCtx
 
-_INT32_SAFE_P = 9000  # m * (p-1)^2 must stay inside the dtype
+
+def _check_products_fit(p: int, m: int, dtype) -> None:
+    """Raise unless a sum of m products of residues mod p fits ``dtype``.
+
+    A matrix product over GF(p) with inner dimension m accumulates up to
+    m * (p-1)^2 before it is reduced, and the numpy product is exact only
+    while that stays inside the integer type.
+    """
+    if m * (p - 1) ** 2 > np.iinfo(dtype).max:
+        raise OverflowError(f"{m} products of residues mod {p} overflow "
+                            f"{np.dtype(dtype).name}")
 
 
-def dtype_for(p: int):
-    return np.int32 if p < _INT32_SAFE_P else np.int64
+def dtype_for(p: int, m: int):
+    """The narrowest integer type that holds m * (p-1)^2: the largest sum a
+    mod-p matrix product with inner dimension m accumulates."""
+    fits32 = m * (p - 1) ** 2 <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits32 else np.int64
+    _check_products_fit(p, m, dtype)
+    return dtype
 
 
 def inverse_table(p: int, dtype=None) -> np.ndarray:
     """inv[x] for x in 1..p-1 (index 0 maps to 0, used as a mask)."""
-    table = np.zeros(p, dtype=dtype or dtype_for(p))
+    table = np.zeros(p, dtype=dtype or dtype_for(p, 1))
     for x in range(1, p):
         table[x] = pow(x, -1, p)
     return table
@@ -105,9 +120,11 @@ def power_rank_sequences(mats: np.ndarray, p: int, inv: np.ndarray,
     supported on block rows 0..n-i-1 and block columns i..n-1, so each
     product keeps only the rows that can still be nonzero and each rank
     is taken on the corresponding band.  With k > 1 the GF(p^k) rank is
-    the GF(p) rank divided by k.
+    the GF(p) rank divided by k.  Raises OverflowError when the products
+    could overflow the dtype of ``mats``.
     """
-    bsize = mats.shape[0]
+    bsize, _, m = mats.shape
+    _check_products_fit(p, m, mats.dtype)
     seqs = np.zeros((bsize, n_blocks - 1), dtype=mats.dtype)
     power = mats
     for i in range(1, n_blocks):
@@ -125,7 +142,13 @@ def power_rank_sequences(mats: np.ndarray, p: int, inv: np.ndarray,
 
 
 def encode_sequences(seqs: np.ndarray) -> np.ndarray:
-    """Pack small rank sequences into single ints (4 bits per entry)."""
+    """Pack small rank sequences into single ints (4 bits per entry).
+
+    Raises OverflowError for a rank outside 0..15, which 4 bits cannot hold.
+    """
+    if seqs.size and (seqs.min() < 0 or seqs.max() > 15):
+        raise OverflowError(f"ranks {int(seqs.min())}..{int(seqs.max())} do "
+                            f"not fit the 4-bit packing")
     keys = np.zeros(seqs.shape[0], dtype=np.int64)
     for i in range(seqs.shape[1]):
         keys = (keys << 4) | seqs[:, i].astype(np.int64)
@@ -146,13 +169,15 @@ class FieldTables:
     For k = 1 the helpers are plain residue arithmetic; for k > 1 they
     drive table-gather arithmetic plus the restriction-of-scalars
     embedding via per-element multiplication (companion) matrices.
+    ``n_blocks`` is the size of the field matrices that will be embedded
+    and multiplied; it sets the integer type (see ``dtype_for``).
     """
 
-    def __init__(self, ctx: FieldCtx):
+    def __init__(self, ctx: FieldCtx, n_blocks: int = 1):
         self.ctx = ctx
         q, k, p = ctx.q, ctx.k, ctx.p
         self.q, self.k, self.p = q, k, p
-        self.dtype = dtype_for(p)
+        self.dtype = dtype_for(p, n_blocks * k)
         self.inv_mod_p = inverse_table(p, self.dtype)
         if k == 1:
             self.add_t = self.mul_t = self.neg_t = None

@@ -1,7 +1,8 @@
 """Command-line surface: every computation and verification as a subcommand.
 
 Exit codes: 0 all verifications passed, 1 a verification failed (the
-report is still emitted), 2 usage error, 3 enumeration budget exceeded.
+report is still emitted) or a data-integrity check aborted the run (a
+one-line report on stderr), 2 usage error, 3 enumeration budget exceeded.
 Counts and coefficients are serialized as decimal strings so arbitrary
 precision survives JSON consumers.
 """
@@ -21,7 +22,10 @@ from .errors import (
     BadCharacteristic,
     DuplicateAbscissa,
     InsufficientPoints,
+    InvalidRankSequence,
+    NonIntegerCoefficients,
     NotPrime,
+    PredicateMismatch,
     TooLarge,
 )
 from .fields import field_of_order
@@ -40,6 +44,10 @@ DEFAULT_BUDGET = g2mod.DEFAULT_BUDGET
 
 def _poly_json(p: IntPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
+
+
+def _route(args) -> str:
+    return "exhaustive" if args.exhaustive else "weighted"
 
 
 def _default_workers() -> int:
@@ -205,7 +213,8 @@ def _cmd_g2_census(args):
 
     ctx = field_of_order(args.q)
     started = time.monotonic()
-    report = g2mod.g2_census(ctx, workers=args.workers, budget=args.budget)
+    report = g2mod.g2_census(ctx, workers=args.workers, budget=args.budget,
+                             exhaustive=args.exhaustive)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     expected = {lam: poly(args.q)
                 for lam, poly in g2mod.expected_polynomials().items()}
@@ -216,6 +225,7 @@ def _cmd_g2_census(args):
     payload = {
         "command": "g2 census",
         "q": args.q,
+        "route": _route(args),
         "counts": {lam.text(): str(report.counts[lam])
                    for lam in sorted(report.counts, reverse=True)},
         "cases": [{"case": case, "rank_seq": list(seq), "count": str(cnt)}
@@ -233,10 +243,11 @@ def _cmd_g2_census(args):
 
 def _cmd_g2_interpolate(args):
     result = g2mod.g2_interpolate(orders=args.primes, workers=args.workers,
-                                  budget=args.budget)
+                                  budget=args.budget, exhaustive=args.exhaustive)
     payload = {
         "command": "g2 interpolate",
         "orders": list(result.orders),
+        "route": _route(args),
         "polynomials": {lam.text(): _poly_json(result.polynomials[lam])
                         for lam in sorted(result.polynomials, reverse=True)},
         "routes": {lam.text(): result.routes[lam]
@@ -347,6 +358,12 @@ def _render(payload, rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _add_census_route(parser):
+    parser.add_argument("--exhaustive", action="store_true",
+                        help="enumerate all q^6 tuples instead of the 4q^4 "
+                             "torus representatives")
+
+
 def _add_common(parser, workers=False, budget=False):
     parser.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
@@ -358,7 +375,7 @@ def _add_common(parser, workers=False, budget=False):
                                  "(default: $KIRILLOV_WORKERS or 1)")
     if budget:
         parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="max tuples to enumerate")
+                            help="max tuples to enumerate on the chosen route")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(func=_cmd_g2_powers)
 
-    sub = g2.add_parser("census", help="exhaustive census over GF(q)")
+    sub = g2.add_parser("census", help="census of all q^6 matrices over GF(q), "
+                                       "torus-weighted unless --exhaustive")
     sub.add_argument("q", type=int)
+    _add_census_route(sub)
     _add_common(sub, workers=True, budget=True)
     sub.set_defaults(func=_cmd_g2_census)
 
@@ -414,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recover the counting polynomials from censuses")
     sub.add_argument("--primes", type=int, nargs="+",
                      default=list(g2mod.DEFAULT_PRIMES))
+    _add_census_route(sub)
     _add_common(sub, workers=True, budget=True)
     sub.set_defaults(func=_cmd_g2_interpolate)
 
@@ -447,6 +467,11 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except (PredicateMismatch, NonIntegerCoefficients,
+            InvalidRankSequence) as exc:
+        print(f"verification failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     except (NotPrime, BadCharacteristic, InsufficientPoints,
             DuplicateAbscissa, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

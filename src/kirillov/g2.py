@@ -7,8 +7,8 @@ exactly).  A general positive-root combination is the strictly upper
 triangular matrix X parametrized by six field coefficients a..f.  This
 module verifies the closed forms of X^2..X^6 symbolically, predicts rank
 sequences from polynomial predicates in the parameters, counts all q^6
-matrices per Jordan type by exhaustive census (validating the predicates
-on every tuple), interpolates the counts back to polynomials in q, and
+matrices per Jordan type by census (validating the predicates on every
+tuple it enumerates), interpolates the counts back to polynomials in q, and
 checks the leading coefficients against the Weyl-group dimensions
 attached to the nilpotent orbits.
 
@@ -168,6 +168,47 @@ def x_of(params: G2Params, ctx: FieldCtx) -> FMatrix:
                     rows[i][j] = ctx.add(rows[i][j],
                                          ctx.mul(val, ctx.from_int(mat[i][j])))
     return FMatrix(ctx, rows)
+
+
+def torus_weights(matrices=None) -> tuple[tuple[int, int], ...]:
+    """Weights of the seven basis vectors, in simple-root coordinates.
+
+    The maximal torus element s = (s1, s2) acts as diag(s1^w1 * s2^w2)
+    over the weights w of the basis vectors.  Conjugating by it multiplies
+    the coefficient of E(m, n) by s1^m * s2^n exactly when w_i - w_j =
+    (m, n) for every nonzero entry (i, j) of E(m, n).  The weights are
+    propagated from w = (0, 0) for the first basis vector along those
+    entries (of ``build_chevalley()`` unless ``matrices`` is given) and
+    then checked against every entry, together with the placement of a on
+    the root (1, 0) and f on (0, 1); any failure raises AssertionError.
+    """
+    if PARAM_ROOTS[0] != (1, 0) or PARAM_ROOTS[-1] != (0, 1):
+        raise AssertionError(f"a and f must sit on the simple roots, "
+                             f"got {PARAM_ROOTS}")
+    if matrices is None:
+        matrices = build_chevalley().matrices
+    entries = [(i, j, root) for root, mat in matrices.items()
+               for i in range(DIM) for j in range(DIM) if mat[i][j]]
+    weights = {0: (0, 0)}
+    grew = True
+    while grew:
+        grew = False
+        for i, j, (m, n) in entries:
+            if j in weights and i not in weights:
+                weights[i] = (weights[j][0] + m, weights[j][1] + n)
+                grew = True
+            elif i in weights and j not in weights:
+                weights[j] = (weights[i][0] - m, weights[i][1] - n)
+                grew = True
+    if len(weights) != DIM:
+        raise AssertionError(f"the entries reach only basis vectors "
+                             f"{sorted(weights)}")
+    for i, j, root in entries:
+        diff = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
+        if diff != root:
+            raise AssertionError(f"entry ({i + 1},{j + 1}) of E{root} joins "
+                                 f"weights differing by {diff}")
+    return tuple(weights[i] for i in range(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +404,7 @@ def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
 
 @dataclass
 class CensusReport:
-    """Exhaustive per-Jordan-type counts over one field."""
+    """Per-Jordan-type counts of all q^6 matrices over one field."""
 
     q: int
     counts: dict  # Partition -> int
@@ -381,15 +422,30 @@ def _case_of(a: int, f: int) -> int:
     return 4
 
 
-def _g2_chunk(p: int, k: int, modulus, af_lo: int, af_hi: int, batch: int) -> dict:
+def _census_slices(q: int, exhaustive: bool) -> list[tuple[int, int, int]]:
+    """The (a, f, weight) slices a census walks, each over all q^4 (b,c,d,e).
+
+    Exhaustive: every (a, f) once, with weight 1.  Weighted: the torus
+    (see ``torus_weights``) scales a by any nonzero s1 and f by any nonzero
+    s2 while it maps the (b, c, d, e) of a slice bijectively onto those of
+    the image slice and keeps every Jordan type.  So all slices with a != 0
+    tally alike, and likewise for f; (a, f) in {0, 1}^2 each stand for
+    (q-1)^([a != 0] + [f != 0]) slices.
+    """
+    if exhaustive:
+        return [(a, f, 1) for a in range(q) for f in range(q)]
+    torus_weights()  # raises unless the basis is graded as assumed above
+    return [(a, f, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)]
+
+
+def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
     ctx = FieldCtx(p, k, _modulus=modulus)
-    tables = FieldTables(ctx)
+    tables = FieldTables(ctx, DIM)
     basis = build_chevalley().matrices
     q = ctx.q
     inner = q**4
     tally: dict[tuple, int] = {}
-    for af in range(af_lo, af_hi):
-        a_val, f_val = divmod(af, q)
+    for a_val, f_val, weight in slices:
         case = _case_of(a_val, f_val)
         for lo in range(0, inner, batch):
             hi = min(lo + batch, inner)
@@ -424,27 +480,35 @@ def _g2_chunk(p: int, k: int, modulus, af_lo: int, af_hi: int, batch: int) -> di
             keys, counts = np.unique(actual_keys, return_counts=True)
             for key, cnt in zip(keys, counts):
                 kt = (case, decode_sequence(int(key), DIM - 1))
-                tally[kt] = tally.get(kt, 0) + int(cnt)
+                tally[kt] = tally.get(kt, 0) + weight * int(cnt)
     return tally
 
 
 def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
-              batch: int = DEFAULT_BATCH) -> CensusReport:
-    """Walk all q^6 parameter tuples and tally Jordan types.
+              batch: int = DEFAULT_BATCH, exhaustive: bool = False) -> CensusReport:
+    """Tally the Jordan types of all q^6 parameter tuples.
 
+    By default the census enumerates the 4q^4 tuples with a, f in {0, 1}
+    and weights each (a, f) slice by the number of slices its torus orbit
+    covers (see ``_census_slices``); ``exhaustive=True`` walks all q^6
+    tuples.  ``budget`` bounds the tuples the chosen route enumerates.
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of predicted_rank_sequence are validated
-    against the computed sequence for every single tuple, and any
+    against the computed sequence for every enumerated tuple, and any
     disagreement aborts the census.
     """
     _require_char(ctx)
-    space = ctx.q**6
+    q = ctx.q
+    space = (q**2 if exhaustive else 4) * q**4
     if space > budget:
-        raise TooLarge(f"{space} tuples exceed the budget {budget}")
+        route = "exhaustive" if exhaustive else "weighted"
+        raise TooLarge(f"{space} tuples on the {route} route exceed the "
+                       f"budget {budget}")
+    slices = _census_slices(q, exhaustive)
     workers = max(1, int(workers))
-    af_total = ctx.q**2
-    bounds = np.linspace(0, af_total, min(workers, af_total) + 1, dtype=np.int64)
-    args = [(ctx.p, ctx.k, ctx.modulus, int(lo), int(hi), batch)
+    bounds = np.linspace(0, len(slices), min(workers, len(slices)) + 1,
+                         dtype=np.int64)
+    args = [(ctx.p, ctx.k, ctx.modulus, slices[lo:hi], batch)
             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if len(args) == 1:
         partials = [_g2_chunk(*args[0])]
@@ -464,15 +528,17 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
                         total=sum(counts.values()))
 
 
-_census_cache: dict[int, CensusReport] = {}
+_census_cache: dict[tuple[int, bool], CensusReport] = {}
 
 
-def census_cached(q: int, workers: int = 1, budget: int = DEFAULT_BUDGET) -> CensusReport:
-    """Census for GF(q), memoized per field order (results are pure)."""
-    if q not in _census_cache:
-        _census_cache[q] = g2_census(field_of_order(q), workers=workers,
-                                     budget=budget)
-    return _census_cache[q]
+def census_cached(q: int, workers: int = 1, budget: int = DEFAULT_BUDGET,
+                  exhaustive: bool = False) -> CensusReport:
+    """Census for GF(q), memoized per field order and route (results are pure)."""
+    key = (q, exhaustive)
+    if key not in _census_cache:
+        _census_cache[key] = g2_census(field_of_order(q), workers=workers,
+                                       budget=budget, exhaustive=exhaustive)
+    return _census_cache[key]
 
 
 class CaseCount(NamedTuple):
@@ -535,9 +601,11 @@ class InterpolationResult:
         return self.complement_ok and all(self.matches_expected.values())
 
 
-def g2_interpolate(orders=None, workers: int = 1,
-                   budget: int = DEFAULT_BUDGET) -> InterpolationResult:
+def g2_interpolate(orders=None, workers: int = 1, budget: int = DEFAULT_BUDGET,
+                   exhaustive: bool = False) -> InterpolationResult:
     """Recover the counting polynomials from censuses at several orders.
+
+    The censuses take the weighted route unless ``exhaustive`` is set.
 
     With >= 7 orders every polynomial is interpolated directly and the
     complement identity (q^6 minus the other four) is cross-checked for
@@ -551,7 +619,8 @@ def g2_interpolate(orders=None, workers: int = 1,
     if len(orders) < 6:
         raise InsufficientPoints(
             f"need at least 6 field orders, got {len(orders)}")
-    reports = {q: census_cached(q, workers=workers, budget=budget)
+    reports = {q: census_cached(q, workers=workers, budget=budget,
+                                exhaustive=exhaustive)
                for q in orders}
     lams = list(expected_polynomials().keys())
     points = {lam: [(q, reports[q].counts.get(lam, 0)) for q in orders]

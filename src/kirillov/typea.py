@@ -117,7 +117,7 @@ def _upper_positions(n: int) -> list[tuple[int, int]]:
 def _census_chunk(p: int, k: int, modulus, n: int,
                   start: int, stop: int, batch: int) -> dict:
     ctx = FieldCtx(p, k, _modulus=modulus)
-    tables = FieldTables(ctx)
+    tables = FieldTables(ctx, n)
     positions = _upper_positions(n)
     tally: dict[tuple, int] = {}
     for lo in range(start, stop, batch):

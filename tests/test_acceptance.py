@@ -4,8 +4,9 @@ Each test prints one `ACCEPTANCE <k> <name>: PASS/FAIL` line (visible
 with `pytest -s` and in failure output).  Criterion 4 carries a known
 source-data conflict for the partition (4,3,2); see the decisions ledger
 next to the repository.  The heaviest enumerations (the 5^10 type-A
-census point and the full seven-prime interpolation including 23^6) are
-exercised by the slow-marked variants at the bottom: `pytest -m slow`.
+census point and the six- and seven-prime interpolations on the
+exhaustive q^6 route) are exercised by the slow-marked variants:
+`pytest -m slow`.
 """
 
 import os
@@ -207,7 +208,10 @@ def test_criterion_7_g2_census_matches_polynomials():
     started = time.time()
     failures = []
     for q in (5, 7, 11, 13):
-        report = census_cached(q, workers=WORKERS)
+        report = census_cached(q, workers=WORKERS, exhaustive=True)
+        weighted = census_cached(q, workers=WORKERS)
+        if (weighted.counts, weighted.cases) != (report.counts, report.cases):
+            failures.append((q, "weighted route"))
         expected = {lam: poly(q) for lam, poly in expected_polynomials().items()}
         if report.counts != expected:
             failures.append((q, "counts"))
@@ -219,32 +223,53 @@ def test_criterion_7_g2_census_matches_polynomials():
     # the census itself validates predicted_rank_sequence on every tuple
     # (a mismatch raises PredicateMismatch before we get here)
     _report(7, "g2-census-vs-closed-forms", not failures, started,
-            detail="q in {5,7,11,13}; predicates validated on all q^6 tuples")
+            detail="q in {5,7,11,13}; predicates validated on all q^6 tuples; "
+                   "the weighted route agrees")
     assert not failures, failures
 
 
 # -- criterion 8: interpolation ------------------------------------------------
 
 
-def test_criterion_8_interpolation_reduced_mode():
+def _check_reduced_mode(name, exhaustive):
     started = time.time()
-    result = g2_interpolate(orders=(5, 7, 11, 13, 17, 19), workers=WORKERS)
+    result = g2_interpolate(orders=(5, 7, 11, 13, 17, 19), workers=WORKERS,
+                            exhaustive=exhaustive)
     ok = result.passed and result.routes[Partition((7,))] == "complement"
-    _report(8, "interpolation-reduced-mode", ok, started,
+    _report(8, name, ok, started,
             detail="six primes; degree-6 count via the complement")
     assert result.complement_ok
     assert result.polynomials == expected_polynomials()
 
 
-@pytest.mark.slow
-def test_criterion_8_interpolation_full_mode():
+def _check_full_mode(name, exhaustive):
     started = time.time()
-    result = g2_interpolate(orders=(5, 7, 11, 13, 17, 19, 23), workers=WORKERS)
+    result = g2_interpolate(orders=(5, 7, 11, 13, 17, 19, 23), workers=WORKERS,
+                            exhaustive=exhaustive)
     ok = result.passed and all(route == "interpolated"
                                for route in result.routes.values())
-    _report(8, "interpolation-full-mode", ok, started)
+    _report(8, name, ok, started)
     assert result.complement_ok
     assert result.polynomials == expected_polynomials()
+
+
+def test_criterion_8_interpolation_reduced_mode():
+    _check_reduced_mode("interpolation-reduced-mode", exhaustive=False)
+
+
+@pytest.mark.slow
+def test_criterion_8_interpolation_reduced_mode_exhaustive():
+    _check_reduced_mode("interpolation-reduced-mode-exhaustive",
+                        exhaustive=True)
+
+
+def test_criterion_8_interpolation_full_mode():
+    _check_full_mode("interpolation-full-mode", exhaustive=False)
+
+
+@pytest.mark.slow
+def test_criterion_8_interpolation_full_mode_exhaustive():
+    _check_full_mode("interpolation-full-mode-exhaustive", exhaustive=True)
 
 
 # -- criterion 9: leading coefficients ------------------------------------------

@@ -121,7 +121,7 @@ def test_g2_interpolate_command_with_synthetic_censuses(capsys, monkeypatch):
     import kirillov.g2 as g2mod
     from kirillov.g2 import CensusReport, expected_polynomials
 
-    def fake_census(q, workers=1, budget=0):
+    def fake_census(q, workers=1, budget=0, exhaustive=False):
         counts = {lam: poly(q) for lam, poly in expected_polynomials().items()}
         return CensusReport(q=q, counts=counts, cases={},
                             total=sum(counts.values()))
@@ -135,6 +135,64 @@ def test_g2_interpolate_command_with_synthetic_censuses(capsys, monkeypatch):
     assert payload["routes"]["7"] == "complement"
     assert [int(c) for c in payload["polynomials"]["3,3,1"]] == \
         [0, 0, 1, 0, -3, 2]
+
+
+def test_g2_census_route_flag(capsys):
+    _, weighted = run(capsys, "g2", "census", "5", "--format", "json")
+    code, exhaustive = run(capsys, "g2", "census", "5", "--format", "json",
+                           "--exhaustive")
+    assert code == 0
+    p1, p2 = json.loads(weighted), json.loads(exhaustive)
+    assert (p1.pop("route"), p2.pop("route")) == ("weighted", "exhaustive")
+    p1.pop("elapsed_ms"), p2.pop("elapsed_ms")
+    assert p1 == p2
+    # the budget counts the tuples of the chosen route: 4*5^4 or 5^6
+    assert main(["g2", "census", "5", "--budget", "2500"]) == 0
+    assert main(["g2", "census", "5", "--budget", "2500", "--exhaustive"]) == 3
+    capsys.readouterr()
+
+
+def test_g2_interpolate_passes_the_route(capsys, monkeypatch):
+    import kirillov.g2 as g2mod
+    from kirillov.g2 import CensusReport, expected_polynomials
+
+    routes = set()
+
+    def fake_census(q, workers=1, budget=0, exhaustive=False):
+        routes.add(exhaustive)
+        counts = {lam: poly(q) for lam, poly in expected_polynomials().items()}
+        return CensusReport(q=q, counts=counts, cases={},
+                            total=sum(counts.values()))
+
+    monkeypatch.setattr(g2mod, "census_cached", fake_census)
+    code, out = run(capsys, "g2", "interpolate", "--exhaustive", "--format",
+                    "json")
+    assert code == 0 and routes == {True}
+    assert json.loads(out)["route"] == "exhaustive"
+
+
+@pytest.mark.parametrize("error, target, argv", [
+    ("PredicateMismatch", "kirillov.g2.g2_census", ["g2", "census", "5"]),
+    ("NonIntegerCoefficients", "kirillov.g2.g2_interpolate",
+     ["g2", "interpolate"]),
+    ("InvalidRankSequence", "kirillov.cli.brute_force_census",
+     ["typea", "census", "3", "2"]),
+])
+def test_data_integrity_failures_exit_1(capsys, monkeypatch, error, target,
+                                        argv):
+    import kirillov.errors
+
+    exc_type = getattr(kirillov.errors, error)
+
+    def broken(*args, **kwargs):
+        raise exc_type("bad data")
+
+    monkeypatch.setattr(target, broken)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"verification failed: {error}: bad data\n"
 
 
 def test_g2_springer_command(capsys):

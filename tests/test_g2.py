@@ -5,6 +5,7 @@ import pytest
 from kirillov.errors import (
     BadCharacteristic,
     InsufficientPoints,
+    PredicateMismatch,
     TooLarge,
 )
 from kirillov.fields import (
@@ -28,6 +29,7 @@ from kirillov.g2 import (
     reference_matrix,
     springer_check,
     symbolic_generic_matrix,
+    torus_weights,
     verify_displayed_powers,
     x_of,
 )
@@ -211,6 +213,70 @@ def test_census_worker_determinism():
     assert single.cases == double.cases
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("q", [5, 7])
+def test_weighted_census_equals_exhaustive(q, workers):
+    ctx = make_prime_field(q)
+    weighted = g2_census(ctx, workers=workers)
+    exhaustive = g2_census(ctx, workers=workers, exhaustive=True)
+    assert weighted.cases == exhaustive.cases
+    assert weighted.counts == exhaustive.counts
+    assert weighted.total == exhaustive.total == q**6
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_census_checks_the_predicate_on_both_routes(monkeypatch, exhaustive):
+    import kirillov.g2 as g2mod
+
+    original = g2mod._predicted_batch
+
+    def wrong_on_last_tuple(t, a, f, b, c, d, e):
+        out = original(t, a, f, b, c, d, e)
+        if (a, f) == (1, 1):
+            out[-1, 0] = 0
+        return out
+
+    monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_last_tuple)
+    with pytest.raises(PredicateMismatch, match=r"=\(1,4,4,4,4,1\)"):
+        g2_census(make_prime_field(5), exhaustive=exhaustive)
+
+
+def test_census_budget_counts_tuples_on_the_chosen_route():
+    ctx = make_prime_field(5)
+    assert g2_census(ctx, budget=4 * 5**4).total == 5**6
+    with pytest.raises(TooLarge):
+        g2_census(ctx, budget=4 * 5**4 - 1)
+    with pytest.raises(TooLarge):
+        g2_census(ctx, budget=5**6 - 1, exhaustive=True)
+
+
+def test_torus_weights_grade_every_root_matrix():
+    weights = torus_weights()
+    assert weights[0] == (0, 0) and len(set(weights)) == DIM
+    for root, mat in build_chevalley().matrices.items():
+        for i in range(DIM):
+            for j in range(DIM):
+                if mat[i][j]:
+                    assert (weights[i][0] - weights[j][0],
+                            weights[i][1] - weights[j][1]) == root
+    assert PARAM_ROOTS[0] == (1, 0) and PARAM_ROOTS[-1] == (0, 1)
+
+
+def test_torus_weights_reject_an_ungraded_basis(monkeypatch):
+    import kirillov.g2 as g2mod
+
+    matrices = {root: [list(row) for row in mat]
+                for root, mat in build_chevalley().matrices.items()}
+    matrices[(1, 1)][0][6] = 1  # entry (1,7) needs root (4, 2), not (1, 1)
+    with pytest.raises(AssertionError, match="joins weights differing"):
+        torus_weights(matrices)
+    # a and f swapped onto the other simple root
+    swapped = (PARAM_ROOTS[-1],) + PARAM_ROOTS[1:-1] + (PARAM_ROOTS[0],)
+    monkeypatch.setattr(g2mod, "PARAM_ROOTS", swapped)
+    with pytest.raises(AssertionError, match="simple roots"):
+        torus_weights()
+
+
 def test_census_kernel_agrees_with_reference_path_gf25():
     """The batched (restriction-of-scalars) route equals per-tuple exact
     linear algebra over GF(25) on a sample of tuples."""
@@ -218,7 +284,7 @@ def test_census_kernel_agrees_with_reference_path_gf25():
     import numpy as np
 
     ctx = field_of_order(25)
-    tables = FieldTables(ctx)
+    tables = FieldTables(ctx, DIM)
     basis = build_chevalley().matrices
     rng = random.Random(99)
     samples = [G2Params(*(rng.randrange(25) for _ in range(6))) for _ in range(150)]
@@ -253,7 +319,8 @@ def test_interpolation_routes_with_synthetic_censuses(monkeypatch):
     import kirillov.g2 as g2mod
 
     monkeypatch.setattr(g2mod, "census_cached",
-                        lambda q, workers=1, budget=0: _synthetic_census(q))
+                        lambda q, workers=1, budget=0, exhaustive=False:
+                        _synthetic_census(q))
     reduced = g2mod.g2_interpolate(orders=(5, 7, 11, 13, 17, 19))
     assert reduced.passed
     assert reduced.routes[Partition((7,))] == "complement"
