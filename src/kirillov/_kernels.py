@@ -122,22 +122,33 @@ def power_rank_sequences(mats: np.ndarray, p: int, inv: np.ndarray,
     is taken on the corresponding band.  With k > 1 the GF(p^k) rank is
     the GF(p) rank divided by k.  Raises OverflowError when the products
     could overflow the dtype of ``mats``.
+
+    The corner block of X^(n-1) is the product of the superdiagonal
+    blocks, each the multiplication matrix of a field element.  So when
+    none of them is zero, X^(n-1) != 0, X is a single Jordan block and
+    r_i = n - i: those matrices are neither multiplied nor eliminated.
     """
     bsize, _, m = mats.shape
     _check_products_fit(p, m, mats.dtype)
     seqs = np.zeros((bsize, n_blocks - 1), dtype=mats.dtype)
-    power = mats
+    regular = np.ones(bsize, dtype=bool)
+    for i in range(n_blocks - 1):
+        block = mats[:, i * k:(i + 1) * k, (i + 1) * k:(i + 2) * k]
+        regular &= block.any(axis=(1, 2))
+    seqs[regular] = np.arange(n_blocks - 1, 0, -1)
+    live = np.flatnonzero(~regular)
+    base = power = mats if live.size == bsize else mats[live]
     for i in range(1, n_blocks):
         live_rows = (n_blocks - i) * k
         if i > 1:
-            power = np.matmul(power[:, :live_rows, :], mats) % p
-        band = power[:, :live_rows, i * k:]
-        ranks = rank_batch(band, p, inv)
+            power = np.matmul(power[:, :live_rows, :], base)
+            np.mod(power, p, out=power)
+        ranks = rank_batch(power[:, :live_rows, i * k:], p, inv)
         if k > 1:
             if (ranks % k).any():
                 raise AssertionError("restriction-of-scalars rank not divisible by k")
             ranks //= k
-        seqs[:, i - 1] = ranks
+        seqs[live, i - 1] = ranks
     return seqs
 
 

@@ -485,13 +485,14 @@ def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
 
 
 def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
-              batch: int = DEFAULT_BATCH, exhaustive: bool = False) -> CensusReport:
+              batch: int = DEFAULT_BATCH, exhaustive: bool = True) -> CensusReport:
     """Tally the Jordan types of all q^6 parameter tuples.
 
-    By default the census enumerates the 4q^4 tuples with a, f in {0, 1}
-    and weights each (a, f) slice by the number of slices its torus orbit
-    covers (see ``_census_slices``); ``exhaustive=True`` walks all q^6
-    tuples.  ``budget`` bounds the tuples the chosen route enumerates.
+    By default the census walks all q^6 tuples.  ``exhaustive=False``
+    enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
+    (a, f) slice by the number of slices its torus orbit covers (see
+    ``_census_slices``).  ``budget`` bounds the tuples the chosen route
+    enumerates.
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of predicted_rank_sequence are validated
     against the computed sequence for every enumerated tuple, and any
@@ -532,7 +533,7 @@ _census_cache: dict[tuple[int, bool], CensusReport] = {}
 
 
 def census_cached(q: int, workers: int = 1, budget: int = DEFAULT_BUDGET,
-                  exhaustive: bool = False) -> CensusReport:
+                  exhaustive: bool = True) -> CensusReport:
     """Census for GF(q), memoized per field order and route (results are pure)."""
     key = (q, exhaustive)
     if key not in _census_cache:
@@ -605,7 +606,8 @@ def g2_interpolate(orders=None, workers: int = 1, budget: int = DEFAULT_BUDGET,
                    exhaustive: bool = False) -> InterpolationResult:
     """Recover the counting polynomials from censuses at several orders.
 
-    The censuses take the weighted route unless ``exhaustive`` is set.
+    The censuses take the weighted route (q = 23 alone would be 1.5*10^8
+    tuples on the exhaustive one) unless ``exhaustive`` is set.
 
     With >= 7 orders every polynomial is interpolated directly and the
     complement identity (q^6 minus the other four) is cross-checked for

@@ -121,7 +121,7 @@ def test_g2_interpolate_command_with_synthetic_censuses(capsys, monkeypatch):
     import kirillov.g2 as g2mod
     from kirillov.g2 import CensusReport, expected_polynomials
 
-    def fake_census(q, workers=1, budget=0, exhaustive=False):
+    def fake_census(q, workers=1, budget=0, exhaustive=True):
         counts = {lam: poly(q) for lam, poly in expected_polynomials().items()}
         return CensusReport(q=q, counts=counts, cases={},
                             total=sum(counts.values()))
@@ -158,7 +158,7 @@ def test_g2_interpolate_passes_the_route(capsys, monkeypatch):
 
     routes = set()
 
-    def fake_census(q, workers=1, budget=0, exhaustive=False):
+    def fake_census(q, workers=1, budget=0, exhaustive=True):
         routes.add(exhaustive)
         counts = {lam: poly(q) for lam, poly in expected_polynomials().items()}
         return CensusReport(q=q, counts=counts, cases={},

@@ -217,7 +217,7 @@ def test_census_worker_determinism():
 @pytest.mark.parametrize("q", [5, 7])
 def test_weighted_census_equals_exhaustive(q, workers):
     ctx = make_prime_field(q)
-    weighted = g2_census(ctx, workers=workers)
+    weighted = g2_census(ctx, workers=workers, exhaustive=False)
     exhaustive = g2_census(ctx, workers=workers, exhaustive=True)
     assert weighted.cases == exhaustive.cases
     assert weighted.counts == exhaustive.counts
@@ -243,11 +243,12 @@ def test_census_checks_the_predicate_on_both_routes(monkeypatch, exhaustive):
 
 def test_census_budget_counts_tuples_on_the_chosen_route():
     ctx = make_prime_field(5)
-    assert g2_census(ctx, budget=4 * 5**4).total == 5**6
+    assert g2_census(ctx, budget=4 * 5**4, exhaustive=False).total == 5**6
     with pytest.raises(TooLarge):
-        g2_census(ctx, budget=4 * 5**4 - 1)
+        g2_census(ctx, budget=4 * 5**4 - 1, exhaustive=False)
+    assert g2_census(ctx, budget=5**6).total == 5**6
     with pytest.raises(TooLarge):
-        g2_census(ctx, budget=5**6 - 1, exhaustive=True)
+        g2_census(ctx, budget=5**6 - 1)
 
 
 def test_torus_weights_grade_every_root_matrix():
@@ -319,7 +320,7 @@ def test_interpolation_routes_with_synthetic_censuses(monkeypatch):
     import kirillov.g2 as g2mod
 
     monkeypatch.setattr(g2mod, "census_cached",
-                        lambda q, workers=1, budget=0, exhaustive=False:
+                        lambda q, workers=1, budget=0, exhaustive=True:
                         _synthetic_census(q))
     reduced = g2mod.g2_interpolate(orders=(5, 7, 11, 13, 17, 19))
     assert reduced.passed

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from kirillov._kernels import (
     encode_sequences,
     power_rank_sequences,
 )
-from kirillov.fields import make_prime_field
+from kirillov.fields import FMatrix, field_of_order, make_prime_field, rank_sequence
 
 
 def test_dtype_switches_where_the_products_leave_int32():
@@ -48,3 +50,28 @@ def test_rank_sequence_packing_round_trip_and_range():
     for bad in (16, -1):
         with pytest.raises(OverflowError, match="4-bit"):
             encode_sequences(np.array([[1, bad]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_power_ranks_agree_with_exact_elimination(q):
+    # the kernel skips single Jordan blocks (all superdiagonal entries
+    # nonzero); batches mixing them with every sparser shape are compared
+    # with exact per-matrix linear algebra
+    ctx = field_of_order(q)
+    n = 5
+    tables = FieldTables(ctx, n)
+    rng = random.Random(q)
+    rows = []
+    for density in (1.0, 0.9, 0.6, 0.3, 0.1, 0.0):
+        for _ in range(40):
+            rows.append([[rng.randrange(1, q) if j > i and rng.random() < density
+                          else 0 for j in range(n)] for i in range(n)])
+    mats = np.array(rows, dtype=tables.dtype)
+    seqs = power_rank_sequences(tables.embed(mats), ctx.p, tables.inv_mod_p,
+                                n, ctx.k)
+    kinds = set()
+    for row, seq in zip(rows, seqs):
+        expected = rank_sequence(FMatrix(ctx, row))
+        assert tuple(int(x) for x in seq) == expected, row
+        kinds.add(expected)
+    assert (4, 3, 2, 1) in kinds and (0, 0, 0, 0) in kinds and len(kinds) > 4
