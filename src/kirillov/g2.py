@@ -463,8 +463,7 @@ def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
                         if mat[i][j]:
                             mats[:, i, j] = tables.add(
                                 mats[:, i, j], tables.scale_int(mat[i][j], vals))
-            emb = tables.embed(mats)
-            seqs = power_rank_sequences(emb, p, tables.inv_mod_p, DIM, k)
+            seqs = power_rank_sequences(tables.embed(mats), tables)
             actual_keys = encode_sequences(seqs)
             pred = _predicted_batch(tables, a_val, f_val,
                                     b_arr, c_arr, d_arr, e_arr)
@@ -484,6 +483,15 @@ def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
     return tally
 
 
+def _check_budget(q: int, exhaustive: bool, budget: int) -> None:
+    """Raise TooLarge when the route enumerates more than ``budget`` tuples."""
+    space = (q**2 if exhaustive else 4) * q**4
+    if space > budget:
+        route = "exhaustive" if exhaustive else "weighted"
+        raise TooLarge(f"{space} tuples on the {route} route exceed the "
+                       f"budget {budget}")
+
+
 def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
               batch: int = DEFAULT_BATCH, exhaustive: bool = True) -> CensusReport:
     """Tally the Jordan types of all q^6 parameter tuples.
@@ -499,18 +507,14 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     disagreement aborts the census.
     """
     _require_char(ctx)
-    q = ctx.q
-    space = (q**2 if exhaustive else 4) * q**4
-    if space > budget:
-        route = "exhaustive" if exhaustive else "weighted"
-        raise TooLarge(f"{space} tuples on the {route} route exceed the "
-                       f"budget {budget}")
-    slices = _census_slices(q, exhaustive)
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, len(slices), min(workers, len(slices)) + 1,
-                         dtype=np.int64)
-    args = [(ctx.p, ctx.k, ctx.modulus, slices[lo:hi], batch)
-            for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    _check_budget(ctx.q, exhaustive, budget)
+    slices = _census_slices(ctx.q, exhaustive)
+    # dealt round-robin, because the costly slices (a == 0 or f == 0, which
+    # hold the matrices that are not single Jordan blocks) cluster at the
+    # start of the list
+    parts = min(max(1, int(workers)), len(slices))
+    args = [(ctx.p, ctx.k, ctx.modulus, slices[w::parts], batch)
+            for w in range(parts)]
     if len(args) == 1:
         partials = [_g2_chunk(*args[0])]
     else:
@@ -534,7 +538,11 @@ _census_cache: dict[tuple[int, bool], CensusReport] = {}
 
 def census_cached(q: int, workers: int = 1, budget: int = DEFAULT_BUDGET,
                   exhaustive: bool = True) -> CensusReport:
-    """Census for GF(q), memoized per field order and route (results are pure)."""
+    """Census for GF(q), memoized per field order and route (results are pure).
+
+    The budget is checked on every call, cached or not.
+    """
+    _check_budget(q, exhaustive, budget)
     key = (q, exhaustive)
     if key not in _census_cache:
         _census_cache[key] = g2_census(field_of_order(q), workers=workers,

@@ -127,8 +127,7 @@ def _census_chunk(p: int, k: int, modulus, n: int,
         mats = np.zeros((hi - lo, n, n), dtype=tables.dtype)
         for pos, (i, j) in enumerate(positions):
             mats[:, i, j] = digits[:, pos]
-        emb = tables.embed(mats)
-        seqs = power_rank_sequences(emb, p, tables.inv_mod_p, n, k)
+        seqs = power_rank_sequences(tables.embed(mats), tables)
         keys, counts = np.unique(encode_sequences(seqs), return_counts=True)
         for key, cnt in zip(keys, counts):
             t = decode_sequence(int(key), n - 1)

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import settings
+
 from kirillov.fields import FieldCtx, FMatrix
 from kirillov.intpoly import IntPoly
 from kirillov.partitions import Partition
+
+# Property tests replay the same examples on every run and stay cheap
+# enough for the default suite; a failure reproduces without a database.
+settings.register_profile("kirillov", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("kirillov")
 
 
 def oracle_removable_cells(parts: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -2,10 +2,10 @@
 
 Each test prints one `ACCEPTANCE <k> <name>: PASS/FAIL` line (visible
 with `pytest -s` and in failure output).  Criterion 4 carries a known
-source-data conflict for the partition (4,3,2); see the decisions ledger
-next to the repository.  The heaviest enumerations (the 5^10 type-A
-census point and the six- and seven-prime interpolations on the
-exhaustive q^6 route) are exercised by the slow-marked variants:
+source-data conflict for the partition (4,3,2); the evidence is in the
+comment above `PRINTED_FACTORIZATIONS`.  The heaviest enumerations (the
+5^10 type-A census point and the six- and seven-prime interpolations on
+the exhaustive q^6 route) are exercised by the slow-marked variants:
 `pytest -m slow`.
 """
 
@@ -127,9 +127,9 @@ def test_criterion_3_structure_suite():
 # coefficients).  NOTE: the (4,3,2) line as printed duplicates the
 # (3,3,2,1) product and contradicts the source's own degree formula
 # (degree 7 expected, 9 printed); the computed factorization is
-# (2q+1)(84q^6+141q^5+108q^4+57q^3+23q^2+6q+1).  Evidence and analysis
-# are in the decisions ledger.  The comparison below is kept faithful to
-# the printed data, so this criterion fails on exactly that one line.
+# (2q+1)(84q^6+141q^5+108q^4+57q^3+23q^2+6q+1).  This comment is the
+# record of that conflict.  The comparison below is kept faithful to the
+# printed data, so this criterion fails on exactly that one line.
 PRINTED_FACTORIZATIONS = {
     (3, 2, 1): ((1, 2), (1, 3, 8, 8)),
     (4, 3, 1): ((1, 4, 5), (1, 3, 10, 14)),
@@ -168,13 +168,15 @@ def test_criterion_4_reducibility_scan():
                   for parts, printed in PRINTED_FACTORIZATIONS.items()
                   if found[parts] != printed}
     _report(4, "reducibility-scan-n<=10", not mismatches, started,
-            detail="known source misprint for (4,3,2), see decisions ledger"
+            detail="known source misprint for (4,3,2), see the comment above "
+            "PRINTED_FACTORIZATIONS"
             if mismatches else "")
     assert not mismatches, (
         "scan disagrees with the printed factorization lines: "
         f"{mismatches}; the printed (4,3,2) line duplicates the (3,3,2,1) "
         "product and cannot re-multiply to R(4,3,2) (degree formula gives "
-        "7, the printed product has degree 9); see the decisions ledger")
+        "7, the printed product has degree 9); see the comment above "
+        "PRINTED_FACTORIZATIONS in tests/test_acceptance.py")
 
 
 # -- criterion 5: the n=4 conjugacy-type table --------------------------------

@@ -208,9 +208,10 @@ def test_census_rejects_bad_characteristic_and_budget():
 
 def test_census_worker_determinism():
     single = g2_census(make_prime_field(5), workers=1)
-    double = g2_census(make_prime_field(5), workers=2)
-    assert single.counts == double.counts
-    assert single.cases == double.cases
+    for workers in (2, 3):
+        split = g2_census(make_prime_field(5), workers=workers)
+        assert single.counts == split.counts
+        assert single.cases == split.cases
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -251,6 +252,17 @@ def test_census_budget_counts_tuples_on_the_chosen_route():
         g2_census(ctx, budget=5**6 - 1)
 
 
+def test_cached_census_still_checks_the_budget(monkeypatch):
+    import kirillov.g2 as g2mod
+
+    monkeypatch.setattr(g2mod, "_census_cache", {})
+    assert census_cached(5).total == 5**6
+    with pytest.raises(TooLarge):
+        census_cached(5, budget=10)
+    with pytest.raises(TooLarge):
+        census_cached(5, budget=4 * 5**4 - 1, exhaustive=False)
+
+
 def test_torus_weights_grade_every_root_matrix():
     weights = torus_weights()
     assert weights[0] == (0, 0) and len(set(weights)) == DIM
@@ -279,8 +291,10 @@ def test_torus_weights_reject_an_ungraded_basis(monkeypatch):
 
 
 def test_census_kernel_agrees_with_reference_path_gf25():
-    """The batched (restriction-of-scalars) route equals per-tuple exact
-    linear algebra over GF(25) on a sample of tuples."""
+    """The batched kernel, whose GF(25) arithmetic is gathers from the
+    field's addition, subtraction, multiplication and inverse tables,
+    equals per-tuple exact linear algebra over GF(25) on a sample of
+    tuples."""
     from kirillov._kernels import FieldTables, power_rank_sequences
     import numpy as np
 
@@ -299,11 +313,19 @@ def test_census_kernel_agrees_with_reference_path_gf25():
                         mats[row, i, j] = ctx.add(
                             int(mats[row, i, j]),
                             ctx.mul(val, ctx.from_int(mat[i][j])))
-    seqs = power_rank_sequences(tables.embed(mats), ctx.p,
-                                tables.inv_mod_p, DIM, ctx.k)
+    seqs = power_rank_sequences(tables.embed(mats), tables)
     for row, params in enumerate(samples):
         assert tuple(int(x) for x in seqs[row]) == \
             rank_sequence(x_of(params, ctx))
+
+
+@pytest.mark.slow
+def test_weighted_census_gf25_matches_the_polynomials():
+    # the first extension-field point of the five g2 counting polynomials
+    report = g2_census(field_of_order(25), exhaustive=False)
+    assert report.counts == {lam: poly(25) for lam, poly
+                             in expected_polynomials().items()}
+    assert report.total == 25**6
 
 
 def _synthetic_census(q):

@@ -148,7 +148,8 @@ def test_r_factors_of_the_conjugate_pair_432_and_3321():
     # Conjugate partitions share the leading coefficient (equal hook
     # dimensions) but not the polynomial: the degree formula gives 7 for
     # (4,3,2) and 9 for (3,3,2,1).  Both are divisible by 2q+1.  See the
-    # decisions ledger for the source-data conflict around this pair.
+    # comment above PRINTED_FACTORIZATIONS in tests/test_acceptance.py for
+    # the source-data conflict around this pair.
     r432 = split_qfactors(P(Partition((4, 3, 2)))).r
     r3321 = split_qfactors(P(Partition((3, 3, 2, 1)))).r
     assert r432 != r3321
