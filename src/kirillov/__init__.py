@@ -26,7 +26,6 @@ from .fields import (
     jordan_type,
     make_extension_field,
     make_prime_field,
-    mat_rank,
     rank_sequence,
 )
 from .intpoly import (
@@ -35,7 +34,6 @@ from .intpoly import (
     Verdict,
     ddf_degrees,
     irreducibility,
-    poly_eval,
     poly_interpolate,
     split_qfactors,
 )

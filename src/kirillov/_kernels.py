@@ -14,13 +14,22 @@ reference implementation in ``fields`` (cross-checked in the tests).
 All matrices fed in here are strictly upper triangular, so the i-th
 power is supported on the band column - row >= i; products and ranks
 are restricted to that band to save work.
+
+Both censuses run on ``run_census``: a family supplies a chunk function
+and its work units, and the engine deals them out and adds the tallies.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+
 import numpy as np
 
+from .errors import TooLarge
 from .fields import FieldCtx
+
+DEFAULT_BUDGET = 200_000_000
+DEFAULT_BATCH = 1 << 15
 
 
 def _check_fits(bound: int, dtype, what: str) -> None:
@@ -296,3 +305,53 @@ class FieldTables:
         ``kernels.embed`` layer.
         """
         return elem_mats
+
+
+# ---------------------------------------------------------------------------
+# the census engine
+# ---------------------------------------------------------------------------
+
+
+def check_budget(space: int, budget: int, what: str) -> None:
+    """Raise TooLarge when a census would enumerate more than ``budget``."""
+    if space > budget:
+        raise TooLarge(f"{space} {what} exceed the budget {budget}")
+
+
+def tally_keys(tally: dict, keys: np.ndarray, length: int, weight: int = 1,
+               prefix: tuple = ()) -> None:
+    """Add ``weight`` to ``tally[prefix + (seq,)]`` for every packed rank
+    sequence ``keys`` holds, ``seq`` being its decoded ``length``-tuple."""
+    uniq, counts = np.unique(keys, return_counts=True)
+    for key, cnt in zip(uniq, counts):
+        seq = prefix + (decode_sequence(int(key), length),)
+        tally[seq] = tally.get(seq, 0) + weight * int(cnt)
+
+
+def merge_tallies(tallies, key=None) -> dict:
+    """Add up the counts of several tallies, each entry under ``key(k)``
+    (under k itself when ``key`` is None)."""
+    out: dict = {}
+    for tally in tallies:
+        for k, cnt in tally.items():
+            k = k if key is None else key(k)
+            out[k] = out.get(k, 0) + cnt
+    return out
+
+
+def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
+    """Sum the tallies ``chunk(*head, share)`` for up to ``workers`` shares.
+
+    The units are dealt round-robin, because the costly ones (those whose
+    matrices are not single Jordan blocks) cluster at the start of both
+    families' unit lists.  Several shares run in a fork pool, so ``chunk``
+    must be a module-level function.  Tallies add up, so the result is the
+    same for any number of workers.
+    """
+    parts = max(1, min(int(workers), len(units)))
+    shares = [units[w::parts] for w in range(parts)]
+    if parts == 1:
+        return merge_tallies([chunk(*head, shares[0])])
+    with mp.get_context("fork").Pool(parts) as pool:
+        return merge_tallies(pool.starmap(chunk, [(*head, share)
+                                                  for share in shares]))

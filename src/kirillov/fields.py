@@ -10,9 +10,11 @@ anywhere.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import isqrt
 
 from .errors import NotNilpotent, NotPrime
+from .intpoly import IntPoly, _pdivmod, _pmul, _ptrim, ddf_degrees
 from .partitions import Partition, jordan_type_from_ranks
 
 
@@ -91,13 +93,8 @@ class FieldCtx:
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x * y) % self.p
-        prod = [0] * (2 * self.k - 1)
-        xv, yv = self._vec(x), self._vec(y)
-        for i, a in enumerate(xv):
-            if a:
-                for j, b in enumerate(yv):
-                    prod[i + j] = (prod[i + j] + a * b) % self.p
-        return self._enc(_polymod(prod, self.modulus, self.p))
+        prod = _pmul(self._vec(x), self._vec(y), self.p)
+        return self._enc(_pdivmod(prod, self.modulus, self.p)[1])
 
     def scale_int(self, m: int, x: int) -> int:
         """Integer multiple m*x (m reduced into the prime subfield)."""
@@ -138,25 +135,7 @@ class FieldCtx:
         norm = self.pow(x, (self.q - 1) // (self.p - 1))
         return 1 if pow(norm, (self.p - 1) // 2, self.p) == 1 else -1
 
-    def is_square(self, x: int) -> bool:
-        return self.quadratic_character(x) >= 0
-
     # -- presentation -------------------------------------------------------
-
-    def modulus_poly(self):
-        """The modulus as an IntPoly (None for prime fields)."""
-        if self.modulus is None:
-            return None
-        from .intpoly import IntPoly
-
-        return IntPoly(self.modulus)
-
-    def describe(self) -> str:
-        if self.k == 1:
-            return f"GF({self.p})"
-        from .intpoly import IntPoly
-
-        return f"GF({self.q}) = GF({self.p})[x]/({IntPoly(self.modulus).text()})"
 
     def __repr__(self):
         return f"FieldCtx(q={self.q})"
@@ -170,86 +149,20 @@ class FieldCtx:
         return hash((self.p, self.k, self.modulus))
 
 
-def _polymod(poly, modulus, p):
-    poly = list(poly)
-    k = len(modulus) - 1
-    for i in range(len(poly) - 1, k - 1, -1):
-        c = poly[i]
-        if c:
-            for j in range(k + 1):
-                poly[i - k + j] = (poly[i - k + j] - c * modulus[j]) % p
-    return poly[:k] + [0] * (k - len(poly[:k]))
-
-
 def _polyinv(vec, modulus, p):
     # extended Euclid in GF(p)[x] against the modulus
-    def trim(a):
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def divmod_(a, b):
-        a = list(a)
-        inv_lead = pow(b[-1], p - 2, p)
-        quot = [0] * max(len(a) - len(b) + 1, 0)
-        for shift in range(len(a) - len(b), -1, -1):
-            f = (a[shift + len(b) - 1] * inv_lead) % p
-            if f:
-                quot[shift] = f
-                for i, c in enumerate(b):
-                    a[shift + i] = (a[shift + i] - f * c) % p
-        return trim(quot), trim(a)
-
-    def mul_(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return trim(out)
-
-    def sub_(a, b):
-        out = [( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-               for i in range(max(len(a), len(b)))]
-        return trim(out)
-
-    r0, r1 = list(modulus), trim(list(vec))
+    r0, r1 = list(modulus), _ptrim(list(vec))
     s0, s1 = [], [1]
     while r1:
-        quot, rem = divmod_(r0, r1)
+        quot, rem = _pdivmod(r0, r1, p)
         r0, r1 = r1, rem
-        s0, s1 = s1, sub_(s0, mul_(quot, s1))
+        s0, s1 = s1, _ptrim([(a - b) % p for a, b in
+                             zip_longest(s0, _pmul(quot, s1, p), fillvalue=0)])
     # r0 is a nonzero constant gcd; normalize
     inv_c = pow(r0[0], p - 2, p)
     out = [(c * inv_c) % p for c in s0]
     out += [0] * (len(modulus) - 1 - len(out))
     return out
-
-
-def _irreducible_over_gfp(coeffs, p) -> bool:
-    """Trial division of a monic polynomial by all lower-degree monics."""
-    k = len(coeffs) - 1
-    for deg in range(1, k // 2 + 1):
-        for enc in range(p**deg):
-            div = []
-            e = enc
-            for _ in range(deg):
-                div.append(e % p)
-                e //= p
-            div.append(1)
-            # remainder of coeffs by div
-            rem = list(coeffs)
-            for i in range(len(rem) - 1, deg - 1, -1):
-                c = rem[i]
-                if c:
-                    for j in range(deg + 1):
-                        rem[i - deg + j] = (rem[i - deg + j] - c * div[j]) % p
-                    rem[i] = 0
-            if not any(rem[:deg]):
-                return False
-    return True
 
 
 def _find_modulus(p: int, k: int):
@@ -261,7 +174,7 @@ def _find_modulus(p: int, k: int):
             coeffs.append(e % p)
             e //= p
         coeffs.append(1)
-        if _irreducible_over_gfp(coeffs, p):
+        if ddf_degrees(IntPoly(coeffs), p) == [k]:
             return tuple(coeffs)
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
@@ -341,10 +254,6 @@ class FMatrix:
             for r1, r2 in zip(self.rows, other.rows)
         ])
 
-    def scale(self, c: int) -> "FMatrix":
-        ctx = self.ctx
-        return FMatrix(ctx, [[ctx.mul(c, x) for x in row] for row in self.rows])
-
     def __matmul__(self, other):
         ctx = self.ctx
         n = self.n
@@ -390,10 +299,6 @@ class FMatrix:
                     a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[rank])]
             rank += 1
         return rank
-
-
-def mat_rank(m: FMatrix) -> int:
-    return m.rank()
 
 
 def rank_sequence(m: FMatrix) -> tuple[int, ...]:

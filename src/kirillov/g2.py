@@ -18,7 +18,6 @@ involve 2 and 3).
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -26,11 +25,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import (
+    DEFAULT_BATCH,
+    DEFAULT_BUDGET,
     FieldTables,
+    check_budget,
     decode_mixed_radix,
-    decode_sequence,
     encode_sequences,
+    merge_tallies,
     power_rank_sequences,
+    run_census,
+    tally_keys,
 )
 from .errors import (
     BadCharacteristic,
@@ -38,25 +42,16 @@ from .errors import (
     InexactDivision,
     InsufficientPoints,
     PredicateMismatch,
-    TooLarge,
 )
 from .fields import FieldCtx, FMatrix, field_of_order, make_prime_field, jordan_type
 from .intpoly import IntPoly, Q, Q_MINUS_1, poly_interpolate
 from .multipoly import A, B, C, D, E, F, MultiPoly, ZERO
-from .partitions import Partition, jordan_type_from_ranks
+from .partitions import Partition, jordan_type_from_ranks, partitions_of
 
 DIM = 7
-DEFAULT_BUDGET = 200_000_000
-DEFAULT_BATCH = 1 << 15
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23)
-REDUCED_PRIMES = (5, 7, 11, 13, 17, 19)
 
 FULL_RANK_SEQ = (6, 5, 4, 3, 2, 1)
-
-# Number of conjugacy classes of the Chevalley group of type G2 over
-# GF(q), recorded from the group-theory literature as context only; this
-# artifact computes Jordan-type counts, not the class count.
-CHEVALLEY_G2_CLASS_COUNT = IntPoly((-1, -1, 2, 1))  # q^3 + 2q^2 - q - 1
 
 # positive roots m*alpha1 + n*alpha2 as (m, n); alpha1 is the short root
 POSITIVE_ROOTS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
@@ -91,16 +86,6 @@ class G2Basis:
 
     matrices: dict  # root (m, n) -> 7x7 tuple-of-tuples of ints
 
-    def matrix(self, root) -> tuple:
-        return self.matrices[tuple(root)]
-
-
-def _unit_matrix(entries: dict) -> list[list[int]]:
-    out = [[0] * DIM for _ in range(DIM)]
-    for (i, j), v in entries.items():
-        out[i - 1][j - 1] = v
-    return out
-
 
 def _bracket(x, y):
     def prod(u, v):
@@ -131,8 +116,8 @@ def build_chevalley() -> G2Basis:
     basis elements follow by brackets, with exact divisions by 2 and 3.
     All six come out strictly upper triangular.
     """
-    e1 = _unit_matrix({(1, 2): 1, (3, 4): 2, (4, 5): 1, (6, 7): 1})
-    e2 = _unit_matrix({(2, 3): 1, (5, 6): 1})
+    e1 = _sparse({(1, 2): 1, (3, 4): 2, (4, 5): 1, (6, 7): 1}, 0)
+    e2 = _sparse({(2, 3): 1, (5, 6): 1}, 0)
     e12 = _bracket(e1, e2)
     e112 = _scale_exact(_bracket(e12, e1), 2)
     e1112 = _scale_exact(_bracket(e112, e1), 3)
@@ -154,19 +139,25 @@ def build_chevalley() -> G2Basis:
                              for r, m in matrices.items()})
 
 
+@cache
+def entry_table() -> tuple[tuple[int, int, int, int], ...]:
+    """``(i, j, param, coefficient)``: entry (i, j) of X (0-based) holds
+    ``coefficient`` times parameter ``param`` (0..5 for a..f).  Derived
+    from ``build_chevalley()``; ``verify_displayed_powers`` checks the X
+    it assembles against the transcribed template."""
+    basis = build_chevalley().matrices
+    return tuple((i, j, param, basis[root][i][j])
+                 for param, root in enumerate(PARAM_ROOTS)
+                 for i in range(DIM) for j in range(DIM) if basis[root][i][j])
+
+
 def x_of(params: G2Params, ctx: FieldCtx) -> FMatrix:
     """The matrix a*E(1,0) + b*E(1,1) + c*E(2,1) + d*E(3,1) + e*E(3,2) + f*E(0,1)
     with entries reduced into ``ctx``."""
     _require_char(ctx)
-    basis = build_chevalley().matrices
     rows = [[0] * DIM for _ in range(DIM)]
-    for val, root in zip(params, PARAM_ROOTS):
-        mat = basis[root]
-        for i in range(DIM):
-            for j in range(DIM):
-                if mat[i][j]:
-                    rows[i][j] = ctx.add(rows[i][j],
-                                         ctx.mul(val, ctx.from_int(mat[i][j])))
+    for i, j, param, coeff in entry_table():
+        rows[i][j] = ctx.add(rows[i][j], ctx.scale_int(coeff, params[param]))
     return FMatrix(ctx, rows)
 
 
@@ -218,14 +209,10 @@ def torus_weights(matrices=None) -> tuple[tuple[int, int], ...]:
 
 def symbolic_generic_matrix() -> list[list[MultiPoly]]:
     """X assembled from the Chevalley basis with symbolic coefficients."""
-    basis = build_chevalley().matrices
+    variables = (A, B, C, D, E, F)
     out = [[ZERO for _ in range(DIM)] for _ in range(DIM)]
-    for var, root in zip((A, B, C, D, E, F), PARAM_ROOTS):
-        mat = basis[root]
-        for i in range(DIM):
-            for j in range(DIM):
-                if mat[i][j]:
-                    out[i][j] = out[i][j] + mat[i][j] * var
+    for i, j, param, coeff in entry_table():
+        out[i][j] = out[i][j] + coeff * variables[param]
     return out
 
 
@@ -273,8 +260,9 @@ def reference_matrix(power: int) -> list[list[MultiPoly]]:
     raise ValueError(f"no transcribed closed form for power {power}")
 
 
-def _sparse(entries: dict) -> list[list[MultiPoly]]:
-    out = [[ZERO for _ in range(DIM)] for _ in range(DIM)]
+def _sparse(entries: dict, zero=ZERO) -> list[list]:
+    """The 7x7 matrix with the given 1-based entries and ``zero`` elsewhere."""
+    out = [[zero for _ in range(DIM)] for _ in range(DIM)]
     for (i, j), v in entries.items():
         out[i - 1][j - 1] = v
     return out
@@ -438,10 +426,9 @@ def _census_slices(q: int, exhaustive: bool) -> list[tuple[int, int, int]]:
     return [(a, f, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)]
 
 
-def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
+def _g2_chunk(p: int, k: int, modulus, batch: int, slices: list) -> dict:
     ctx = FieldCtx(p, k, _modulus=modulus)
     tables = FieldTables(ctx, DIM)
-    basis = build_chevalley().matrices
     q = ctx.q
     inner = q**4
     tally: dict[tuple, int] = {}
@@ -451,18 +438,11 @@ def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
             hi = min(lo + batch, inner)
             digits = decode_mixed_radix(lo, hi, q, 4, dtype=tables.dtype)
             b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(4))
-            size = hi - lo
-            a_arr = np.full(size, a_val, dtype=tables.dtype)
-            f_arr = np.full(size, f_val, dtype=tables.dtype)
-            mats = np.zeros((size, DIM, DIM), dtype=tables.dtype)
-            for vals, root in zip((a_arr, b_arr, c_arr, d_arr, e_arr, f_arr),
-                                  PARAM_ROOTS):
-                mat = basis[root]
-                for i in range(DIM):
-                    for j in range(DIM):
-                        if mat[i][j]:
-                            mats[:, i, j] = tables.add(
-                                mats[:, i, j], tables.scale_int(mat[i][j], vals))
+            params = (a_val, b_arr, c_arr, d_arr, e_arr, f_val)
+            mats = np.zeros((hi - lo, DIM, DIM), dtype=tables.dtype)
+            for i, j, param, coeff in entry_table():
+                mats[:, i, j] = tables.add(
+                    mats[:, i, j], tables.scale_int(coeff, params[param]))
             seqs = power_rank_sequences(tables.embed(mats), tables)
             actual_keys = encode_sequences(seqs)
             pred = _predicted_batch(tables, a_val, f_val,
@@ -476,20 +456,15 @@ def _g2_chunk(p: int, k: int, modulus, slices: list, batch: int) -> dict:
                     f"{int(e_arr[i])},{f_val}): predicted "
                     f"{tuple(int(x) for x in pred[i])}, "
                     f"computed {tuple(int(x) for x in seqs[i])}")
-            keys, counts = np.unique(actual_keys, return_counts=True)
-            for key, cnt in zip(keys, counts):
-                kt = (case, decode_sequence(int(key), DIM - 1))
-                tally[kt] = tally.get(kt, 0) + weight * int(cnt)
+            tally_keys(tally, actual_keys, DIM - 1, weight, (case,))
     return tally
 
 
 def _check_budget(q: int, exhaustive: bool, budget: int) -> None:
     """Raise TooLarge when the route enumerates more than ``budget`` tuples."""
-    space = (q**2 if exhaustive else 4) * q**4
-    if space > budget:
-        route = "exhaustive" if exhaustive else "weighted"
-        raise TooLarge(f"{space} tuples on the {route} route exceed the "
-                       f"budget {budget}")
+    route = "exhaustive" if exhaustive else "weighted"
+    check_budget((q**2 if exhaustive else 4) * q**4, budget,
+                 f"tuples on the {route} route")
 
 
 def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
@@ -500,7 +475,7 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
     (a, f) slice by the number of slices its torus orbit covers (see
     ``_census_slices``).  ``budget`` bounds the tuples the chosen route
-    enumerates.
+    enumerates.  The slices are the work units of ``run_census``.
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of predicted_rank_sequence are validated
     against the computed sequence for every enumerated tuple, and any
@@ -508,26 +483,10 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)
-    slices = _census_slices(ctx.q, exhaustive)
-    # dealt round-robin, because the costly slices (a == 0 or f == 0, which
-    # hold the matrices that are not single Jordan blocks) cluster at the
-    # start of the list
-    parts = min(max(1, int(workers)), len(slices))
-    args = [(ctx.p, ctx.k, ctx.modulus, slices[w::parts], batch)
-            for w in range(parts)]
-    if len(args) == 1:
-        partials = [_g2_chunk(*args[0])]
-    else:
-        with mp.get_context("fork").Pool(len(args)) as pool:
-            partials = pool.starmap(_g2_chunk, args)
-    cases: dict[tuple, int] = {}
-    for part in partials:
-        for key, cnt in part.items():
-            cases[key] = cases.get(key, 0) + cnt
-    counts: dict[Partition, int] = {}
-    for (_, seq), cnt in cases.items():
-        lam = jordan_type_from_ranks(seq, DIM)
-        counts[lam] = counts.get(lam, 0) + cnt
+    cases = run_census(_g2_chunk, (ctx.p, ctx.k, ctx.modulus, batch),
+                       _census_slices(ctx.q, exhaustive), workers)
+    counts = merge_tallies([cases],
+                           lambda key: jordan_type_from_ranks(key[1], DIM))
     return CensusReport(q=ctx.q, counts=counts,
                         cases=dict(sorted(cases.items())),
                         total=sum(counts.values()))
@@ -688,7 +647,7 @@ SPRINGER_TABLE = (
     SpringerRow("0", (0, 0), (), Partition((1,) * 7), 1),
     SpringerRow("A1", (0, 1), ((3, 2),), Partition((2, 2, 1, 1, 1)), 1),
     SpringerRow("A1-tilde", (1, 0), ((2, 1),), Partition((3, 2, 2)), 2),
-    SpringerRow("A1+A1-tilde", (0, 2), ((1, 0), (2, 1)), Partition((3, 3, 1)), 2),
+    SpringerRow("G2(a1)", (0, 2), ((1, 0), (2, 1)), Partition((3, 3, 1)), 2),
     SpringerRow("G2", (2, 2), ((1, 0), (0, 1)), Partition((7,)), 1),
 )
 
@@ -713,20 +672,14 @@ def springer_check(typea_max_n: int = 8) -> SpringerReport:
     for every partition with n <= typea_max_n the type-A leading
     coefficient is compared with the hook-length dimension.
     """
-    from .partitions import partitions_of
     from .typea import kirillov_recursion
 
     ctx = make_prime_field(5)
-    basis = build_chevalley().matrices
     orbit_entries = []
     for row in SPRINGER_TABLE:
-        total = [[0] * DIM for _ in range(DIM)]
-        for root in row.representative:
-            mat = basis[root]
-            for i in range(DIM):
-                for j in range(DIM):
-                    total[i][j] += mat[i][j]
-        computed = jordan_type(FMatrix.from_int_rows(ctx, total))
+        params = G2Params(*(int(root in row.representative)
+                            for root in PARAM_ROOTS))
+        computed = jordan_type(x_of(params, ctx))
         lead = expected_polynomials()[row.partition].leading
         ok = computed == row.partition and lead == row.dimension
         orbit_entries.append((row.orbit, row.partition, computed, lead,

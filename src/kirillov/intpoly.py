@@ -39,14 +39,6 @@ class IntPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def q(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
     def from_text(cls, text: str) -> "IntPoly":
         """Parse a comma-separated coefficient list, lowest degree first."""
         parts = [p.strip() for p in text.split(",")]
@@ -116,12 +108,6 @@ class IntPoly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by q^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
@@ -183,14 +169,8 @@ def _coerce(x) -> IntPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to IntPoly")
 
 
-ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
 Q_MINUS_1 = IntPoly((-1, 1))
-
-
-def poly_eval(p: IntPoly, x):
-    """Evaluate ``p`` at an integer (plain Horner)."""
-    return p(x)
 
 
 # ---------------------------------------------------------------------------

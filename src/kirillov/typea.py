@@ -15,7 +15,6 @@ R-factor is reducible.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -23,19 +22,21 @@ from math import comb
 import numpy as np
 
 from ._kernels import (
+    DEFAULT_BATCH,
+    DEFAULT_BUDGET,
     FieldTables,
+    check_budget,
     decode_mixed_radix,
-    decode_sequence,
     encode_sequences,
+    merge_tallies,
     power_rank_sequences,
+    run_census,
+    tally_keys,
 )
 from .errors import TooLarge
 from .fields import FieldCtx
 from .intpoly import IntPoly, Q, Q_MINUS_1, Verdict, irreducibility, split_qfactors
 from .partitions import Partition, jordan_type_from_ranks, partitions_of
-
-DEFAULT_BUDGET = 200_000_000
-DEFAULT_BATCH = 1 << 15
 
 
 def kirillov_recursion(lam: Partition) -> IntPoly:
@@ -110,28 +111,18 @@ def conservation_sum(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def _upper_positions(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _census_chunk(p: int, k: int, modulus, n: int,
-                  start: int, stop: int, batch: int) -> dict:
+def _census_chunk(p: int, k: int, modulus, n: int, ranges: list) -> dict:
     ctx = FieldCtx(p, k, _modulus=modulus)
     tables = FieldTables(ctx, n)
-    positions = _upper_positions(n)
+    rows, cols = np.triu_indices(n, 1)
     tally: dict[tuple, int] = {}
-    for lo in range(start, stop, batch):
-        hi = min(lo + batch, stop)
-        digits = decode_mixed_radix(lo, hi, ctx.q, len(positions),
+    for lo, hi in ranges:
+        digits = decode_mixed_radix(lo, hi, ctx.q, len(rows),
                                     dtype=tables.dtype)
         mats = np.zeros((hi - lo, n, n), dtype=tables.dtype)
-        for pos, (i, j) in enumerate(positions):
-            mats[:, i, j] = digits[:, pos]
+        mats[:, rows, cols] = digits
         seqs = power_rank_sequences(tables.embed(mats), tables)
-        keys, counts = np.unique(encode_sequences(seqs), return_counts=True)
-        for key, cnt in zip(keys, counts):
-            t = decode_sequence(int(key), n - 1)
-            tally[t] = tally.get(t, 0) + int(cnt)
+        tally_keys(tally, encode_sequences(seqs), n - 1)
     return tally
 
 
@@ -141,7 +132,8 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     """Tally Jordan types of all strictly upper triangular n x n matrices.
 
     Enumerates all q^(n(n-1)/2) matrices with a mixed-radix counter over
-    the free entries, computes rank sequences in batches, and returns the
+    the free entries, computes rank sequences in ``batch``-sized index
+    ranges (the work units of ``run_census``), and returns the
     per-partition counts.  Raises TooLarge beyond the configured bounds.
     """
     if n < 1:
@@ -149,28 +141,11 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     if n > max_n:
         raise TooLarge(f"n={n} exceeds the configured bound {max_n}")
     space = ctx.q ** (n * (n - 1) // 2)
-    if space > budget:
-        raise TooLarge(f"{space} matrices exceed the budget {budget}")
-    if n == 1:
-        return {Partition((1,)): 1}
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, space, workers + 1, dtype=np.int64)
-    args = [(ctx.p, ctx.k, ctx.modulus, n, int(lo), int(hi), batch)
-            for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(args) == 1:
-        partials = [_census_chunk(*args[0])]
-    else:
-        with mp.get_context("fork").Pool(len(args)) as pool:
-            partials = pool.starmap(_census_chunk, args)
-    merged: dict[tuple, int] = {}
-    for part in partials:
-        for key, cnt in part.items():
-            merged[key] = merged.get(key, 0) + cnt
-    counts: dict[Partition, int] = {}
-    for seq, cnt in merged.items():
-        lam = jordan_type_from_ranks(seq, n)
-        counts[lam] = counts.get(lam, 0) + cnt
-    return counts
+    check_budget(space, budget, "matrices")
+    ranges = [(lo, min(lo + batch, space)) for lo in range(0, space, batch)]
+    tally = run_census(_census_chunk, (ctx.p, ctx.k, ctx.modulus, n), ranges,
+                       workers)
+    return merge_tallies([tally], lambda key: jordan_type_from_ranks(key[0], n))
 
 
 # ---------------------------------------------------------------------------

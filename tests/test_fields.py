@@ -6,7 +6,6 @@ from kirillov.fields import (
     field_of_order,
     make_extension_field,
     make_prime_field,
-    mat_rank,
     rank_sequence,
 )
 from kirillov.intpoly import IntPoly, ddf_degrees
@@ -31,6 +30,13 @@ def test_extension_field_moduli():
     assert gf9.modulus == (1, 0, 1)
     with pytest.raises(NotPrime):
         make_extension_field(4, 2)
+    # the encoding of every extension field hangs on the modulus search
+    pinned = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
+              16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1),
+              32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1), 81: (2, 1, 0, 0, 1),
+              121: (1, 0, 1), 125: (1, 1, 0, 1), 169: (2, 0, 1)}
+    for q, modulus in pinned.items():
+        assert field_of_order(q).modulus == modulus, q
 
 
 def test_modulus_is_irreducible_by_ddf():
@@ -90,7 +96,7 @@ def test_rank_basic():
     assert FMatrix.zeros(ctx, 7).rank() == 0
     assert FMatrix.identity(ctx, 7).rank() == 7
     m = FMatrix.from_int_rows(ctx, [[1, 2], [2, 4]])
-    assert mat_rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_rank_product_bound_on_samples():

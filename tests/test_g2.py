@@ -22,6 +22,7 @@ from kirillov.g2 import (
     build_chevalley,
     census_cached,
     closed_form_case_counts,
+    entry_table,
     expected_polynomials,
     g2_census,
     g2_interpolate,
@@ -300,19 +301,13 @@ def test_census_kernel_agrees_with_reference_path_gf25():
 
     ctx = field_of_order(25)
     tables = FieldTables(ctx, DIM)
-    basis = build_chevalley().matrices
     rng = random.Random(99)
     samples = [G2Params(*(rng.randrange(25) for _ in range(6))) for _ in range(150)]
     mats = np.zeros((len(samples), DIM, DIM), dtype=tables.dtype)
     for row, params in enumerate(samples):
-        for val, root in zip(params, PARAM_ROOTS):
-            mat = basis[root]
-            for i in range(DIM):
-                for j in range(DIM):
-                    if mat[i][j]:
-                        mats[row, i, j] = ctx.add(
-                            int(mats[row, i, j]),
-                            ctx.mul(val, ctx.from_int(mat[i][j])))
+        for i, j, param, coeff in entry_table():
+            mats[row, i, j] = ctx.add(int(mats[row, i, j]),
+                                      ctx.scale_int(coeff, params[param]))
     seqs = power_rank_sequences(tables.embed(mats), tables)
     for row, params in enumerate(samples):
         assert tuple(int(x) for x in seqs[row]) == \

@@ -91,8 +91,13 @@ def test_census_matches_recursion_small_grid():
 def test_census_worker_split_deterministic():
     ctx = field_of_order(3)
     single = brute_force_census(5, ctx, workers=1)
-    double = brute_force_census(5, ctx, workers=2)
-    assert single == double
+    for workers in (2, 3):
+        assert brute_force_census(5, ctx, workers=workers) == single
+    # 3^10 matrices in 60 index ranges, dealt round-robin, 20 to each worker
+    assert brute_force_census(5, ctx, workers=3, batch=1000) == single
+    # more workers than ranges: the single range of GF(2)'s two matrices
+    assert brute_force_census(2, make_prime_field(2), workers=3) == \
+        {Partition((2,)): 1, Partition((1, 1)): 1}
 
 
 def test_census_budget_guards():
