@@ -3,13 +3,16 @@
 The censuses walk q^6 (or q^(n(n-1)/2)) parameter tuples, so rank
 sequences are computed in numpy batches of field-encoded n x n matrices.
 Prime fields work directly on residues mod p: products are integer
-matmuls reduced mod p, and elimination subtracts and reduces in place.
-Extension fields GF(p^k) work on the same n x n matrices: every sum,
-difference, product and inverse is a gather from a table that
-``FieldTables`` builds once per field (the table-lookup arithmetic of
-small-field linear algebra libraries).  Both run the same lockstep
-elimination, so the batched route computes the same ranks as the exact
-reference implementation in ``fields`` (cross-checked in the tests).
+matmuls reduced mod p, and elimination subtracts in place and delays the
+reduction of the trailing block (see ``rank_batch`` for the bound that
+keeps it exact).  Extension fields GF(p^k) work on the same n x n
+matrices: every sum, difference, product and inverse is a gather from a
+table that ``FieldTables`` builds once per field (the table-lookup
+arithmetic of small-field linear algebra libraries).  Both run the same
+lockstep elimination, which never swaps rows but tracks the rows still
+without a pivot, so the batched route computes the same ranks as the
+exact reference implementation in ``fields`` (cross-checked in the
+tests).
 
 All matrices fed in here are strictly upper triangular, so the i-th
 power is supported on the band column - row >= i; products and ranks
@@ -77,56 +80,56 @@ def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
 def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     """Ranks over GF(q) of a batch of field-encoded matrices, shape (B, r, c).
 
-    Forward elimination with row pivoting, run lockstep over the whole
-    batch; matrices that lack a pivot in the current column simply sit
-    out the step (their update factors are masked to zero).  Exact: for
-    k = 1 all arithmetic is mod p on integers, for k > 1 it is gathers
-    from the field's tables.
+    Forward elimination run lockstep over the whole batch, without row
+    swaps: each matrix keeps a mask of its free rows, those without a
+    pivot yet.  In each column the first free row with a nonzero entry is
+    the pivot, and every other free row subtracts its multiple of the
+    pivot row from the columns to the right; the rank is the number of
+    pivots.  Exact: for k = 1 all arithmetic is on integers mod p, for
+    k > 1 it is gathers from the field's tables.
+
+    For k = 1 the reduction mod p is delayed (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK): only the current column and the pivot row are reduced,
+    for the zero test and the update factors, while the trailing block
+    is not.  Each column subtracts at most (p-1)^2 from an entry, so over
+    c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero.  Raises
+    OverflowError unless c (p-1)^2 fits the dtype of ``mats``, whose
+    entries must be field-encoded (residues in 0..p-1 for k = 1).
     """
     p, prime = t.p, t.k == 1
+    bsize, nrows, ncols = mats.shape
+    if prime:
+        _check_products_fit(p, ncols, mats.dtype)
     a = mats % p if prime else mats.copy()
-    bsize, nrows, ncols = a.shape
-    if bsize == 0:
-        return np.zeros(0, dtype=a.dtype)
     rank = np.zeros(bsize, dtype=a.dtype)
-    row = np.zeros(bsize, dtype=a.dtype)
-    rows = np.arange(nrows, dtype=a.dtype)[None, :]
+    free = np.ones((bsize, nrows), dtype=bool)
     bidx = np.arange(bsize)
     for col in range(ncols):
-        colv = a[:, :, col]
-        cand = (colv != 0) & (rows >= row[:, None])
+        colv = a[:, :, col] % p if prime else a[:, :, col]
+        cand = free & (colv != 0)
         has = cand.any(axis=1)
         if not has.any():
             continue
-        all_has = has.all()
-        rcur = np.minimum(row, nrows - 1)
-        piv = np.where(has, cand.argmax(axis=1), rcur)
-        # swap the pivot row up; unpivoted rows are zero left of col, so
-        # swapping the col: tail suffices
-        if (piv != rcur).any():
-            pv = a[bidx, piv, col:].copy()
-            rv = a[bidx, rcur, col:].copy()
-            a[bidx, piv, col:] = rv
-            a[bidx, rcur, col:] = pv
-        scale = t.inv_t[a[bidx, rcur, col]] if all_has \
-            else np.where(has, t.inv_t[a[bidx, rcur, col]], 0)
-        below = rows > rcur[:, None]
-        f = np.where(below if all_has else below & has[:, None], colv, 0)
-        tail = a[:, :, col:]
+        piv = cand.argmax(axis=1)
+        scale = t.inv_t[colv[bidx, piv]]
+        # the pivot leaves the free mask before the factors are masked by
+        # it, which zeroes them on the pivot row and on earlier pivot
+        # rows, so those keep their echelon entries (the ranks never read
+        # them again); a matrix without a pivot here is zero on its free
+        # rows, so its factors are all zero
+        free[bidx, piv] &= ~has
+        f = np.where(free, colv, 0)
+        tail = a[:, :, col + 1:]
         if prime:
-            pivrow = (a[bidx, rcur, col:] * scale[:, None]) % p
-            np.subtract(tail, f[:, :, None] * pivrow[:, None, :], out=tail)
-            np.mod(tail, p, out=tail)
+            f = f * scale[:, None] % p
+            pivrow = a[bidx, piv, col + 1:] % p
+            tail -= f[:, :, None] * pivrow[:, None, :]
         else:
-            pivrow = t.mul(scale[:, None], a[bidx, rcur, col:])
+            f = t.mul(f, scale[:, None])
+            pivrow = a[bidx, piv, col + 1:]
             tail[...] = t.sub(tail, t.mul(f[:, :, None], pivrow[:, None, :]))
-        if all_has:
-            a[bidx, rcur, col:] = pivrow
-        else:
-            a[bidx[has], rcur[has], col:] = pivrow[has]
-        row += has
         rank += has
-        if (row == nrows).all():
+        if (rank == nrows).all():
             break
     return rank
 
@@ -163,7 +166,9 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     The corner entry of X^(n-1) is the product of the superdiagonal
     entries.  So when none of them is zero, X^(n-1) != 0, X is a single
     Jordan block and r_i = n - i: those matrices are neither multiplied
-    nor eliminated.
+    nor eliminated.  Once a power has rank 0 on every remaining matrix,
+    all higher powers are zero too: they are not multiplied out, and each
+    is ranked as an all-zero band of its shape.
     """
     bsize, _, n = mats.shape
     if t.k == 1:
@@ -177,13 +182,20 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     seqs[regular] = np.arange(n - 1, 0, -1)
     live = np.flatnonzero(~regular)
     base = power = mats if live.size == bsize else mats[live]
+    zero = False
     for i in range(1, n):
-        if i > 1 and t.k == 1:
-            power = np.matmul(power[:, :n - i, :], base)
-            np.mod(power, t.p, out=power)
-        elif i > 1:
-            power = _band_product(t, power, base, i)
-        seqs[live, i - 1] = rank_batch(power[:, :n - i, i:], t)
+        if zero:
+            band = np.zeros((live.size, n - i, n - i), dtype=mats.dtype)
+        else:
+            if i > 1 and t.k == 1:
+                power = np.matmul(power[:, :n - i, :], base)
+                np.mod(power, t.p, out=power)
+            elif i > 1:
+                power = _band_product(t, power, base, i)
+            band = power[:, :n - i, i:]
+        ranks = rank_batch(band, t)
+        seqs[live, i - 1] = ranks
+        zero = not ranks.any()
     return seqs
 
 

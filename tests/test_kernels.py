@@ -65,6 +65,101 @@ def test_power_ranks_refuse_a_dtype_the_products_overflow():
         power_rank_sequences(mats, tables)
 
 
+def test_rank_batch_refuses_a_dtype_the_delayed_reduction_overflows():
+    # the elimination reduces only the current column and the pivot row,
+    # so with c columns an entry can accumulate c (p-1)^2 before it is
+    # reduced: 28 columns at p = 8761 leave int32, 27 do not
+    tables = FieldTables(make_prime_field(8761), 28)
+    assert 27 * 8760**2 < 2**31 <= 28 * 8760**2
+    with pytest.raises(OverflowError, match="int32"):
+        rank_batch(np.zeros((1, 5, 28), dtype=np.int32), tables)
+    assert list(rank_batch(np.zeros((1, 28, 27), dtype=np.int32),
+                           tables)) == [0]
+
+
+@pytest.mark.parametrize("p, dtype", [(8753, np.int32), (8761, np.int64)])
+def test_rank_batch_is_exact_at_the_edge_of_its_dtype(p, dtype):
+    # 28 columns of residues mod p: the widest band the dtype holds (int32
+    # up to p = 8758, see above), dense enough that every entry
+    # accumulates many unreduced products
+    ctx = make_prime_field(p)
+    tables = FieldTables(ctx, 28)
+    assert tables.dtype is dtype
+    rng = random.Random(p)
+    rows = [[[p - 1] * 28 for _ in range(28)]]
+    for density in (1.0, 1.0, 0.9, 0.5):
+        rows.append([[rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(28)] for _ in range(28)])
+    # rank-deficient: the last rows are combinations of the first ones
+    base = rows[1]
+    for _ in range(8):
+        coeffs = [rng.randrange(p) for _ in range(3)]
+        base = base + [[sum(c * x for c, x in zip(coeffs, col)) % p
+                        for col in zip(*base[:3])]]
+    rows.append(base[:20] + base[28:])
+    band = np.array(rows, dtype=dtype)
+    expected = [FMatrix(ctx, m).rank() for m in rows]
+    assert expected[0] == 1 and expected[-1] <= 20 and 28 in expected
+    assert [int(r) for r in rank_batch(band, tables)] == expected
+    # a non-square slice of the same batch
+    sub = band[:, 3:, :]
+    expected = [FMatrix(ctx, [[0] * 28] * 3 + m[3:]).rank() for m in rows]
+    assert [int(r) for r in rank_batch(sub, tables)] == expected
+
+
+def _g2_slice(ctx: FieldCtx, a: int, rng, size: int) -> list:
+    """Rows of the g2 matrix X for ``size`` random tuples with the given a.
+
+    Every entry of X^3 is a multiple of a^2 f, so X^3 = 0 when a = 0.
+    """
+    from kirillov.g2 import G2Params, x_of
+
+    return [list(x_of(G2Params(a, *(rng.randrange(ctx.q) for _ in range(5))),
+                      ctx).rows) for _ in range(size)]
+
+
+@pytest.mark.parametrize("q", [7, 25])
+def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
+                                                                monkeypatch):
+    import kirillov._kernels as kernels
+
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, 7)
+    rng = random.Random(q)
+    zero_from_3 = _g2_slice(ctx, 0, rng, 60)
+    mixed = zero_from_3[:30] + [_random_rows(rng, q, 7, 7, upper=True)
+                                for _ in range(30)]
+    shapes, products = [], []
+    rank = kernels.rank_batch
+    band_product = kernels._band_product
+
+    def counted_rank(mats, t):
+        shapes.append(mats.shape)
+        return rank(mats, t)
+
+    def counted_product(t, power, base, i):
+        products.append(i)
+        return band_product(t, power, base, i)
+
+    monkeypatch.setattr(kernels, "rank_batch", counted_rank)
+    monkeypatch.setattr(kernels, "_band_product", counted_product)
+    for rows, last_product in ((zero_from_3, 3), (mixed, 6)):
+        shapes.clear()
+        products.clear()
+        seqs = power_rank_sequences(np.array(rows, dtype=tables.dtype), tables)
+        assert [tuple(int(x) for x in seq) for seq in seqs] == \
+            [rank_sequence(FMatrix(ctx, row)) for row in rows]
+        # one rank per power, on the band of each power, zero or not; the
+        # single Jordan blocks (superdiagonal all nonzero) are not ranked
+        live = sum(not all(row[i][i + 1] for i in range(6)) for row in rows)
+        assert shapes == [(live, 7 - i, 7 - i) for i in range(1, 7)]
+        if ctx.k > 1:
+            assert products == list(range(2, last_product + 1))
+    # the mixed batch: X^3 = 0 on its g2 rows but not on every random one
+    assert all(seq[2:] == (0, 0, 0, 0) for seq in map(tuple, seqs[:30]))
+    assert any(seq[2] > 0 for seq in map(tuple, seqs[30:]))
+
+
 def test_power_ranks_refuse_a_dtype_the_table_indices_overflow():
     # extension fields multiply by table gathers, not integer matmuls, so
     # the type only has to hold the indices x*q + y, whatever the size

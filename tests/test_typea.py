@@ -95,9 +95,37 @@ def test_census_worker_split_deterministic():
         assert brute_force_census(5, ctx, workers=workers) == single
     # 3^10 matrices in 60 index ranges, dealt round-robin, 20 to each worker
     assert brute_force_census(5, ctx, workers=3, batch=1000) == single
-    # more workers than ranges: the single range of GF(2)'s two matrices
+    # more workers than matrices: GF(2)'s two 2 x 2 matrices, one range each
     assert brute_force_census(2, make_prime_field(2), workers=3) == \
         {Partition((2,)): 1, Partition((1, 1)): 1}
+
+
+def test_census_cuts_several_ranges_per_worker(monkeypatch):
+    import kirillov.typea as typea
+
+    units = []
+    run_census = typea.run_census
+
+    def capture(chunk, head, share, workers):
+        units.append(share)
+        return run_census(chunk, head, share, workers)
+
+    monkeypatch.setattr(typea, "run_census", capture)
+    ctx = make_prime_field(7)
+    space, batch = 7**6, typea.DEFAULT_BATCH
+    counts = brute_force_census(4, ctx, workers=1)
+    assert brute_force_census(4, ctx, workers=2) == counts
+    one, two = units
+    # one worker: batch-sized ranges, as the census has always cut them
+    assert one == [(lo, min(lo + batch, space))
+                   for lo in range(0, space, batch)]
+    assert len(one) == 4
+    # two workers: enough ranges that each gets UNITS_PER_WORKER of them
+    assert len(two) >= 2 * typea.UNITS_PER_WORKER
+    assert max(hi - lo for lo, hi in two) <= batch
+    for ranges in (one, two):
+        assert ranges[0][0] == 0 and ranges[-1][1] == space
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
 
 
 def test_census_budget_guards():
