@@ -4,10 +4,17 @@ Coefficients are arbitrary-precision Python ints stored lowest degree
 first; the zero polynomial has an empty coefficient tuple.  On top of the
 ring arithmetic this module provides the pieces the counting results rely
 on: exact interpolation from integer sample points, the split of a
-polynomial into q^a * (q-1)^b * R with R(0), R(1) nonzero, distinct-degree
-factorization degrees modulo a prime, and a certificate-producing
+polynomial into q^a * (q-1)^b * R with R(0), R(1) nonzero, the degrees
+of the irreducible factors modulo a prime, and a certificate-producing
 irreducibility test over Z[q] (mod-p certificates, factor-degree pruning
 across primes, and a complete Kronecker search as the fallback).
+
+The factor degrees modulo p come from a squarefree decomposition and a
+distinct-degree factorization of each squarefree part.  The latter
+applies Frobenius h -> h^p, which is GF(p)-linear, as a table: the rows
+x^(i p) mod f are built once per (f, p) and packed one polynomial per
+int (Kronecker substitution), so each degree step is a linear
+combination of big ints instead of a square-and-multiply.
 """
 
 from __future__ import annotations
@@ -308,17 +315,6 @@ def _pderiv(a, p):
     return _ptrim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def _squarefree_parts(f, p):
     """Decompose monic f over GF(p) into [(g, m)] with f = prod g^m, g squarefree."""
     out = []
@@ -341,23 +337,96 @@ def _squarefree_parts(f, p):
         c = _pdivmod(c, y, p)[0]
         i += 1
     if len(c) > 1:
-        for g, m in _squarefree_parts(c, p):
-            out.append((g, m * p))
+        # what is left are the factors whose multiplicity p divides: c'
+        # vanishes, so the call takes the p-th root and scales by p itself
+        out.extend(_squarefree_parts(c, p))
     return out
 
 
+class _FrobeniusTable:
+    """Frobenius h -> h^p modulo monic f over GF(p), as a linear map.
+
+    Its rows x^(i p) mod f, i < n = deg f >= 2, are the rows of Berlekamp's
+    Q-matrix.  Polynomials of degree < n are Kronecker-packed: coefficient
+    i sits in bits [i w, (i + 1) w) of one int, so a product is one big-int
+    multiply and h^p = sum h_i x^(i p) is n big-int multiply-adds, each
+    unpacked once and reduced mod p.
+
+    Every packed sum formed here adds at most n products of two residues
+    in each slot: a product of two packed polynomials has at most n terms
+    per slot, its fold modulo f adds one residue plus n - 1 products, and
+    a Frobenius image sums n rows times the coefficients of h.  All terms
+    are nonnegative, so a slot never exceeds n (p-1)^2, and w is the bit
+    length of that bound: no slot carries into the next before it is
+    unpacked and reduced mod p, for any prime p.
+    """
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.width = (n * (p - 1) ** 2).bit_length()
+        self.mask = (1 << self.width) - 1
+        # x^j mod f for j < 2n - 1: slot j of a product folds onto these
+        self.fold = [1 << (self.width * j) for j in range(n)]
+        xj = [0] * (n - 1) + [1]
+        for _ in range(n - 1):
+            top = xj[-1]
+            xj = [-top * f[0] % p] + [(c - top * fc) % p
+                                      for c, fc in zip(xj, f[1:n])]
+            self.fold.append(self.pack(xj))
+        # the rows of Berlekamp's Q-matrix, x^(i p) mod f for i < n
+        xp = self.fold[1]
+        for bit in bin(p)[3:]:
+            xp = self.mul(xp, xp)
+            if bit == "1":
+                xp = self.mul(xp, self.fold[1])
+        self.rows = [1, xp]
+        while len(self.rows) < n:
+            self.rows.append(self.mul(self.rows[-1], xp))
+
+    def pack(self, coeffs):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << self.width) | c
+        return v
+
+    def unpack(self, v, count):
+        """The first ``count`` slots of packed ``v``, each reduced mod p."""
+        w, mask, p = self.width, self.mask, self.p
+        return [(v >> (w * i) & mask) % p for i in range(count)]
+
+    def mul(self, a, b):
+        slots = self.unpack(a * b, 2 * self.n - 1)
+        return self.pack(self.unpack(
+            sum(c * r for c, r in zip(slots, self.fold) if c), self.n))
+
+    def frobenius(self, h):
+        """h^p mod f for h given as residues, as residues (trimmed)."""
+        acc = sum(c * r for c, r in zip(h, self.rows) if c)
+        return _ptrim(self.unpack(acc, self.n))
+
+
 def _ddf_squarefree(f, p):
-    """Degrees of the irreducible factors of squarefree monic f over GF(p)."""
+    """Degrees of the irreducible factors of squarefree monic f over GF(p).
+
+    Step d computes h = x^(p^d) mod f as a linear combination of the
+    packed rows x^(i p) mod f, built once per (f, p), and splits off
+    gcd(h - x, g) from the unsplit part g.  h stays reduced modulo f, not
+    g: g divides f, so the gcd is unchanged.
+    """
     degrees = []
     g = list(f)
     h = [0, 1]  # the polynomial x
+    frob = None
     d = 0
     while len(g) - 1 > 0:
         d += 1
         if 2 * d > len(g) - 1:
             degrees.append(len(g) - 1)
             break
-        h = _ppowmod(h, p, g, p)
+        if frob is None:
+            frob = _FrobeniusTable(f, p)
+        h = frob.frobenius(h)
         diff = list(h)
         while len(diff) < 2:
             diff.append(0)
@@ -366,7 +435,6 @@ def _ddf_squarefree(f, p):
         if len(gd) - 1 > 0:
             degrees.extend([d] * ((len(gd) - 1) // d))
             g = _pdivmod(g, gd, p)[0]
-            h = _pdivmod(h, g, p)[1]
     return degrees
 
 

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirillov.errors import (
     BadPrime,
@@ -13,6 +15,13 @@ from kirillov.intpoly import (
     IntPoly,
     Q,
     Q_MINUS_1,
+    _FrobeniusTable,
+    _pdivmod,
+    _pgcd,
+    _pmonic,
+    _pmul,
+    _ptrim,
+    _squarefree_parts,
     ddf_degrees,
     irreducibility,
     poly_interpolate,
@@ -107,6 +116,29 @@ def test_split_reconstructs():
         assert s.r(1) != 0
 
 
+_int_polys = st.lists(st.integers(-10**6, 10**6), min_size=1,
+                      max_size=9).map(IntPoly)
+
+
+@given(_int_polys, st.integers(0, 4), st.integers(0, 4))
+def test_split_round_trip(base, a, b):
+    poly = Q**a * Q_MINUS_1**b * base
+    if poly.is_zero():
+        return
+    s = split_qfactors(poly)
+    assert s.reconstruct() == poly
+    assert s.r(0) != 0 and s.r(1) != 0
+    assert s.a >= a and s.b >= b
+    if base(0) != 0 and base(1) != 0:
+        assert (s.a, s.b, s.r) == (a, b, base)
+
+
+@given(_int_polys, st.randoms(use_true_random=False))
+def test_interpolate_round_trip(poly, rng):
+    xs = rng.sample(range(-60, 61), max(poly.degree, 0) + 1)
+    assert poly_interpolate([(x, poly(x)) for x in xs]) == poly
+
+
 def test_ddf_examples():
     # roots of q^2+1 mod 5: exhaustive search finds 2 and 3
     assert [x for x in range(5) if (x * x + 1) % 5 == 0] == [2, 3]
@@ -129,6 +161,11 @@ def test_ddf_multiplicities():
     # (q+1)^5 mod 5 = q^5 + 1: derivative vanishes, handled via 5th root
     fifth = IntPoly((1, 1)) ** 5
     assert ddf_degrees(fifth, 5) == [1] * 5
+    # q^5 (q+1) mod 5: the q^5 is left over after the loop over
+    # multiplicities prime to 5, and counts five times, not 25
+    assert ddf_degrees(IntPoly((0, 0, 0, 0, 0, 1, 1)), 5) == [1] * 6
+    assert ddf_degrees(IntPoly((1, 1)) ** 7 * IntPoly((1, 0, 1)), 7) == \
+        [1] * 7 + [2]
 
 
 def test_ddf_bad_prime():
@@ -142,6 +179,155 @@ def test_ddf_total_degree_preserved():
         for _ in range(15):
             poly = IntPoly([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 7))] + [1])
             assert sum(ddf_degrees(poly, p)) == poly.degree
+
+
+# -- the distinct-degree factorization against slow references -----------
+
+
+def _ppowmod(base, e, mod, p):
+    result = [1]
+    base = _pdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def _ddf_squarefree_by_powering(f, p):
+    # each degree step raises h to the p-th power mod g by square and
+    # multiply, with h reduced modulo the shrinking g
+    degrees = []
+    g = list(f)
+    h = [0, 1]
+    d = 0
+    while len(g) - 1 > 0:
+        d += 1
+        if 2 * d > len(g) - 1:
+            degrees.append(len(g) - 1)
+            break
+        h = _ppowmod(h, p, g, p)
+        diff = list(h) + [0] * max(0, 2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        gd = _pgcd(_ptrim(diff), g, p)
+        if len(gd) - 1 > 0:
+            degrees.extend([d] * ((len(gd) - 1) // d))
+            g = _pdivmod(g, gd, p)[0]
+            h = _pdivmod(h, g, p)[1]
+    return degrees
+
+
+def _ddf_by_powering(poly, p):
+    fbar = _pmonic(_ptrim([c % p for c in poly.coeffs]), p)
+    degrees = []
+    for g, m in _squarefree_parts(fbar, p):
+        degrees.extend(_ddf_squarefree_by_powering(g, p) * m)
+    return sorted(degrees)
+
+
+def _factor_degrees_by_trial_division(poly, p):
+    # strip monic divisors of increasing degree: the first one that
+    # divides is irreducible, since its factors would have divided first
+    rest = [c % p for c in poly.coeffs]
+    degrees = []
+    d = 1
+    while 2 * d <= len(rest) - 1:
+        for tail in itertools.product(range(p), repeat=d):
+            div = list(tail) + [1]
+            while True:
+                quot, rem = _naive_divmod(rest, div, p)
+                if any(rem):
+                    break
+                rest = quot
+                degrees.append(d)
+        d += 1
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return sorted(degrees)
+
+
+def _naive_divmod(a, monic, p):
+    a = list(a)
+    m = len(monic) - 1
+    quot = [0] * max(len(a) - m, 1)
+    for top in range(len(a) - 1, m - 1, -1):
+        c = a[top]
+        quot[top - m] = c
+        for i, b in enumerate(monic):
+            a[top - m + i] = (a[top - m + i] - c * b) % p
+    return quot, a[:m]
+
+
+@st.composite
+def _ddf_cases(draw, primes=(5, 7, 37, 8761), max_degree=30):
+    """A prime and a polynomial of degree <= max_degree with leading
+    coefficient prime to it: dense, or a product of random factors with
+    multiplicities, optionally times a p-th power g^p, so the squarefree
+    decomposition meets repeated factors and a vanishing derivative."""
+    p = draw(st.sampled_from(primes))
+    residues = st.integers(0, p - 1)
+    lead = draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        deg = draw(st.integers(1, max_degree))
+        return p, IntPoly(draw(st.lists(residues, min_size=deg,
+                                        max_size=deg)) + [lead])
+    poly, budget = IntPoly((lead,)), max_degree
+    if p <= max_degree and draw(st.booleans()):
+        e = draw(st.integers(1, max_degree // p))
+        poly = poly * IntPoly(draw(st.lists(residues, min_size=e,
+                                            max_size=e)) + [1]) ** p
+        budget -= e * p
+    while budget and (poly.degree < 1 or draw(st.booleans())):
+        deg = draw(st.integers(1, min(budget, 8)))
+        mult = draw(st.integers(1, min(3, budget // deg)))
+        factor = IntPoly(draw(st.lists(residues, min_size=deg,
+                                       max_size=deg)) + [1])
+        poly = poly * factor ** mult
+        budget -= deg * mult
+    return p, poly
+
+
+@settings(max_examples=200)
+@given(_ddf_cases())
+def test_ddf_matches_square_and_multiply_frobenius(case):
+    p, poly = case
+    degrees = ddf_degrees(poly, p)
+    assert sum(degrees) == poly.degree
+    assert degrees == _ddf_by_powering(poly, p)
+
+
+@settings(max_examples=60)
+@given(_ddf_cases(primes=(5,), max_degree=6))
+def test_ddf_matches_factoring_by_trial_division(case):
+    p, poly = case
+    assert ddf_degrees(poly, p) == _factor_degrees_by_trial_division(poly, p)
+
+
+def test_ddf_splits_every_monic_polynomial_of_low_degree_mod_5():
+    for deg in (2, 3, 4):
+        for tail in itertools.product(range(5), repeat=deg):
+            poly = IntPoly(list(tail) + [1])
+            assert ddf_degrees(poly, 5) == \
+                _factor_degrees_by_trial_division(poly, 5), poly
+
+
+@pytest.mark.parametrize("p", [2, 5, 8761, 2**31 - 1])
+def test_frobenius_table_packing_holds_its_largest_sum(p):
+    # two all-(p-1) operands fill the middle slot of their product with
+    # exactly n (p-1)^2, the bound the slot width is chosen for
+    rng = random.Random(p)
+    for n in (2, 3, 7, 30):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        frob = _FrobeniusTable(f, p)
+        top = [p - 1] * n
+        got = frob.unpack(frob.mul(frob.pack(top), frob.pack(top)), n)
+        assert _ptrim(got) == _pdivmod(_pmul(top, top, p), f, p)[1]
+        # and h^p = sum h_i x^(i p) against square and multiply
+        assert frob.frobenius(top) == _ppowmod(top, p, f, p)
+        for i in (1, n - 1):
+            row = _ptrim(frob.unpack(frob.rows[i], n))
+            assert row == _ppowmod([0] * i + [1], p, f, p)
 
 
 def test_irreducibility_examples():

@@ -77,6 +77,28 @@ def test_rank_batch_refuses_a_dtype_the_delayed_reduction_overflows():
                            tables)) == [0]
 
 
+class _NotToEliminate(np.ndarray):
+    """A batch that fails the test if the kernel starts to eliminate it:
+    the elimination begins with a copy (k > 1) or a reduction mod p."""
+
+    def __mod__(self, other):
+        raise AssertionError("an all-zero batch was reduced")
+
+    def copy(self, *args, **kwargs):
+        raise AssertionError("an all-zero batch was copied")
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_rank_batch_returns_all_zero_batches_without_eliminating(q):
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, 6)
+    for shape in ((0, 5, 5), (4, 3, 3), (3, 2, 6), (2, 6, 1)):
+        zeros = np.zeros(shape, dtype=tables.dtype).view(_NotToEliminate)
+        ranks = rank_batch(zeros, tables)
+        assert ranks.shape == (shape[0],) and not ranks.any()
+        assert ranks.dtype == tables.dtype
+
+
 @pytest.mark.parametrize("p, dtype", [(8753, np.int32), (8761, np.int64)])
 def test_rank_batch_is_exact_at_the_edge_of_its_dtype(p, dtype):
     # 28 columns of residues mod p: the widest band the dtype holds (int32
