@@ -94,19 +94,21 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     is not.  Each column subtracts at most (p-1)^2 from an entry, so over
     c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero.  Raises
     OverflowError unless c (p-1)^2 fits the dtype of ``mats``, whose
-    entries must be field-encoded (residues in 0..p-1 for k = 1).  A batch
-    with no nonzero entry (an empty batch, or one of the all-zero bands
-    that ``power_rank_sequences`` ranks past the first zero power) is
-    returned as rank 0 before any elimination.
+    entries must be field-encoded (residues in 0..p-1 for k = 1), so the
+    batch is copied without a reduction.  A batch with no nonzero entry
+    (an empty batch, or one of the all-zero bands that
+    ``power_rank_sequences`` ranks past the first zero power) has rank 0
+    and is not eliminated; the zero test runs on the contiguous copy,
+    which costs far less than on a strided band.
     """
     p, prime = t.p, t.k == 1
     bsize, nrows, ncols = mats.shape
     if prime:
         _check_products_fit(p, ncols, mats.dtype)
-    rank = np.zeros(bsize, dtype=mats.dtype)
-    if not mats.any():
+    a = mats.copy()
+    rank = np.zeros(bsize, dtype=a.dtype)
+    if not a.any():
         return rank
-    a = mats % p if prime else mats.copy()
     free = np.ones((bsize, nrows), dtype=bool)
     bidx = np.arange(bsize)
     for col in range(ncols):
