@@ -67,7 +67,7 @@ def dtype_for(p: int, m: int):
 
 
 def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
-                       dtype=np.int64) -> np.ndarray:
+                       dtype) -> np.ndarray:
     """Digits (most significant first) of start..stop-1 in the given radix."""
     idx = np.arange(start, stop, dtype=np.int64)
     digits = np.empty((stop - start, width), dtype=dtype)
@@ -246,13 +246,13 @@ class FieldTables:
 
     Arrays hold field-encoded elements.  For k = 1 the helpers are plain
     residue arithmetic mod p.  For k > 1 every operation is a gather from
-    a q x q table (``add_t``, ``sub_t``, ``mul_t``) or a size-q table
-    (``neg_t``): sums and differences act digit by digit on the base-p
-    encodings, and products come from the discrete logarithms to a
-    generator found with ``ctx.mul``.  ``inv_t`` (size q, 0 -> 0) serves
-    both.  ``n`` is the size of the matrices the kernels will multiply;
-    for k = 1 it sets the integer type (see ``dtype_for``), for k > 1 the
-    type only has to hold the table indices.
+    a q x q table (``add_t``, ``sub_t``, ``mul_t``): sums and differences
+    act digit by digit on the base-p encodings, and products come from
+    the discrete logarithms to a generator found with ``ctx.mul``.
+    ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the size of the
+    matrices the kernels will multiply; for k = 1 it sets the integer
+    type (see ``dtype_for``), for k > 1 the type only has to hold the
+    table indices.
     """
 
     def __init__(self, ctx: FieldCtx, n: int = 1):
@@ -264,7 +264,7 @@ class FieldTables:
             self.inv_t = np.zeros(p, dtype=self.dtype)
             for x in range(1, p):
                 self.inv_t[x] = pow(x, -1, p)
-            self.add_t = self.sub_t = self.mul_t = self.neg_t = None
+            self.add_t = self.sub_t = self.mul_t = None
             return
         self.dtype = np.int32 if q * q <= np.iinfo(np.int32).max else np.int64
         _check_indices_fit(q, self.dtype)
@@ -275,7 +275,6 @@ class FieldTables:
             digit = elems // p**i % p
             self.add_t += (digit[:, None] + digit[None, :]) % p * p**i
             self.sub_t += (digit[:, None] - digit[None, :]) % p * p**i
-        self.neg_t = self.sub_t[0].copy()
         exp = _generator_powers(ctx).astype(self.dtype)
         log = np.zeros(q, dtype=self.dtype)
         log[exp] = np.arange(q - 1)
@@ -303,11 +302,6 @@ class FieldTables:
         if self.k == 1:
             return (x * y) % self.p
         return self._gather(self.mul_t, x, y)
-
-    def neg(self, x):
-        if self.k == 1:
-            return (-x) % self.p
-        return self.neg_t[x]
 
     def scale_int(self, m: int, x):
         if self.k == 1:

@@ -17,7 +17,6 @@ import os
 import sys
 
 from . import g2 as g2mod
-from . import typea as typea_mod
 from .errors import (
     BadCharacteristic,
     DuplicateAbscissa,
@@ -64,9 +63,7 @@ def _cmd_typea_poly(args):
     poly = kirillov_recursion(lam)
     split = split_qfactors(poly)
     profile = valuation_profile(lam)
-    ok = (split.a == profile.a and split.b == profile.b
-          and split.r.degree == profile.deg_r
-          and split.r.leading == profile.lead_r)
+    ok = profile.matches(split)
     payload = {
         "command": "typea poly",
         "partition": lam.text(),
@@ -157,9 +154,7 @@ def _cmd_typea_profile(args):
         for lam in partitions_of(n):
             split = split_qfactors(kirillov_recursion(lam))
             prof = valuation_profile(lam)
-            ok = (split.a == prof.a and split.b == prof.b
-                  and split.r.degree == prof.deg_r
-                  and split.r.leading == prof.lead_r
+            ok = (prof.matches(split)
                   and split.r.constant_term == 1
                   and all(c > 0 for c in split.r.coeffs))
             all_ok &= ok

@@ -48,10 +48,6 @@ class FieldCtx:
     def zero(self) -> int:
         return 0
 
-    @property
-    def one(self) -> int:
-        return 1
-
     def elements(self):
         """All elements in canonical (lexicographic encoding) order."""
         return range(self.q)

@@ -314,7 +314,18 @@ def verify_displayed_powers() -> PowersReport:
 
 
 def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
-    """Rank sequence of X predicted from polynomial predicates alone.
+    """Rank sequence of X predicted from polynomial predicates alone: the
+    one-tuple case of ``_predicted_batch``, which defines the predicates."""
+    _require_char(ctx)
+    t = FieldTables(ctx)
+    a, b, c, d, e, f = params
+    b, c, d, e = (np.array([x], dtype=t.dtype) for x in (b, c, d, e))
+    return tuple(int(r) for r in _predicted_batch(t, a, f, b, c, d, e)[0])
+
+
+def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
+    """Rank sequences of X predicted from polynomial predicates alone, one
+    row for each tuple of the b..e arrays (of ``t.dtype``) at fixed a, f.
 
     Outside the a*f != 0 regime every power beyond X^2 vanishes, so the
     sequence is determined by rank X and rank X^2:
@@ -325,36 +336,10 @@ def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
     - a != 0, f = 0: rank X is always 4; rank X^2 is 1 iff 4ae-4bd+3c^2 = 0.
     - a = f = 0: rank X is 4 unless b = c = 0 (then 2 unless d = e = 0);
       rank X^2 is 1 iff (b != 0 and 3c^2-4bd = 0) or (b = 0 and c != 0).
+
+    These are the only copy of the predicates: the census checks them
+    against the computed rank sequence of every tuple it enumerates.
     """
-    _require_char(ctx)
-    a, b, c, d, e, f = params
-    mul, add, sub, sc = ctx.mul, ctx.add, ctx.sub, ctx.scale_int
-    if a and f:
-        return FULL_RANK_SEQ
-    if f:  # a == 0
-        u = add(mul(b, b), mul(c, f))
-        v = add(mul(b, c), mul(d, f))
-        if u == 0 and v == 0:
-            return (2, 0, 0, 0, 0, 0)
-        w = sub(mul(c, c), mul(b, d))
-        disc = sub(mul(v, v), sc(4, mul(u, w)))
-        return (4, 1, 0, 0, 0, 0) if disc == 0 else (4, 2, 0, 0, 0, 0)
-    if a:  # f == 0
-        t = add(sub(sc(4, mul(a, e)), sc(4, mul(b, d))), sc(3, mul(c, c)))
-        return (4, 1, 0, 0, 0, 0) if t == 0 else (4, 2, 0, 0, 0, 0)
-    # a == f == 0
-    if b == 0 and c == 0:
-        if d == 0 and e == 0:
-            return (0, 0, 0, 0, 0, 0)
-        return (2, 0, 0, 0, 0, 0)
-    if b:
-        t = sub(sc(3, mul(c, c)), sc(4, mul(b, d)))
-        return (4, 1, 0, 0, 0, 0) if t == 0 else (4, 2, 0, 0, 0, 0)
-    return (4, 1, 0, 0, 0, 0)  # b == 0, c != 0
-
-
-def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
-    """Vectorized predicted_rank_sequence for fixed a, f and b..e arrays."""
     size = len(b)
     out = np.zeros((size, 6), dtype=b.dtype)
     if a and f:
@@ -363,22 +348,22 @@ def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
     if f:  # a == 0
         u = t.add(t.mul(b, b), t.mul(c, f))
         v = t.add(t.mul(b, c), t.mul(d, f))
-        w = t.add(t.mul(c, c), t.neg(t.mul(b, d)))
-        disc = t.add(t.mul(v, v), t.neg(t.scale_int(4, t.mul(u, w))))
+        w = t.sub(t.mul(c, c), t.mul(b, d))
+        disc = t.sub(t.mul(v, v), t.scale_int(4, t.mul(u, w)))
         quiet = (u == 0) & (v == 0)
         out[:, 0] = np.where(quiet, 2, 4)
         out[:, 1] = np.where(quiet, 0, np.where(disc == 0, 1, 2))
         return out
     if a:  # f == 0
-        val = t.add(t.add(t.scale_int(4, t.mul(a, e)),
-                          t.neg(t.scale_int(4, t.mul(b, d)))),
+        val = t.add(t.sub(t.scale_int(4, t.mul(a, e)),
+                          t.scale_int(4, t.mul(b, d))),
                     t.scale_int(3, t.mul(c, c)))
         out[:, 0] = 4
         out[:, 1] = np.where(val == 0, 1, 2)
         return out
     bc_zero = (b == 0) & (c == 0)
     de_zero = (d == 0) & (e == 0)
-    val = t.add(t.scale_int(3, t.mul(c, c)), t.neg(t.scale_int(4, t.mul(b, d))))
+    val = t.sub(t.scale_int(3, t.mul(c, c)), t.scale_int(4, t.mul(b, d)))
     out[:, 0] = np.where(bc_zero, np.where(de_zero, 0, 2), 4)
     out[:, 1] = np.where(bc_zero, 0,
                          np.where(b != 0, np.where(val == 0, 1, 2), 1))
@@ -426,7 +411,7 @@ def _census_slices(q: int, exhaustive: bool) -> list[tuple[int, int, int]]:
     return [(a, f, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)]
 
 
-def _g2_chunk(p: int, k: int, modulus, batch: int, slices: list) -> dict:
+def _g2_chunk(p: int, k: int, modulus, slices: list) -> dict:
     ctx = FieldCtx(p, k, _modulus=modulus)
     tables = FieldTables(ctx, DIM)
     q = ctx.q
@@ -434,8 +419,8 @@ def _g2_chunk(p: int, k: int, modulus, batch: int, slices: list) -> dict:
     tally: dict[tuple, int] = {}
     for a_val, f_val, weight in slices:
         case = _case_of(a_val, f_val)
-        for lo in range(0, inner, batch):
-            hi = min(lo + batch, inner)
+        for lo in range(0, inner, DEFAULT_BATCH):
+            hi = min(lo + DEFAULT_BATCH, inner)
             digits = decode_mixed_radix(lo, hi, q, 4, dtype=tables.dtype)
             b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(4))
             params = (a_val, b_arr, c_arr, d_arr, e_arr, f_val)
@@ -468,7 +453,7 @@ def _check_budget(q: int, exhaustive: bool, budget: int) -> None:
 
 
 def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
-              batch: int = DEFAULT_BATCH, exhaustive: bool = True) -> CensusReport:
+              exhaustive: bool = True) -> CensusReport:
     """Tally the Jordan types of all q^6 parameter tuples.
 
     By default the census walks all q^6 tuples.  ``exhaustive=False``
@@ -477,13 +462,13 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     ``_census_slices``).  ``budget`` bounds the tuples the chosen route
     enumerates.  The slices are the work units of ``run_census``.
     Rank sequences are computed from the matrices themselves; the
-    polynomial predicates of predicted_rank_sequence are validated
-    against the computed sequence for every enumerated tuple, and any
+    polynomial predicates of ``_predicted_batch`` are validated against
+    the computed sequence for every enumerated tuple, and any
     disagreement aborts the census.
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)
-    cases = run_census(_g2_chunk, (ctx.p, ctx.k, ctx.modulus, batch),
+    cases = run_census(_g2_chunk, (ctx.p, ctx.k, ctx.modulus),
                        _census_slices(ctx.q, exhaustive), workers)
     counts = merge_tallies([cases],
                            lambda key: jordan_type_from_ranks(key[1], DIM))

@@ -480,6 +480,9 @@ class Verdict:
         return self.kind == "reducible"
 
 
+CERTIFICATE_PRIMES = 10  # primes tried for mod-p certificates and degree sets
+
+
 def _first_primes_over_3(count: int, avoid: int):
     """First ``count`` primes > 3 that do not divide ``avoid``."""
     primes = []
@@ -581,7 +584,7 @@ def _kronecker_search(r: IntPoly, candidate_degrees):
     return None
 
 
-def irreducibility(r: IntPoly, certificate_primes: int = 10) -> Verdict:
+def irreducibility(r: IntPoly) -> Verdict:
     """Classify r as unit / irreducible / reducible over Z[q].
 
     The pipeline: trivial degrees, then mod-p irreducibility certificates,
@@ -608,7 +611,7 @@ def irreducibility(r: IntPoly, certificate_primes: int = 10) -> Verdict:
     if r.degree == 1:
         return Verdict(kind="irreducible", method="degree-1")
 
-    primes = _first_primes_over_3(certificate_primes, abs(r.leading))
+    primes = _first_primes_over_3(CERTIFICATE_PRIMES, abs(r.leading))
     candidate = set(range(1, r.degree // 2 + 1))
     for p in primes:
         degs = ddf_degrees(r, p)

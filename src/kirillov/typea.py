@@ -76,6 +76,13 @@ class ValuationProfile:
     deg_r: int
     lead_r: int
 
+    def matches(self, split) -> bool:
+        """Whether the ``SplitForm`` ``split`` has these exponents and this
+        degree and leading coefficient of R."""
+        return (split.a == self.a and split.b == self.b
+                and split.r.degree == self.deg_r
+                and split.r.leading == self.lead_r)
+
 
 def valuation_profile(lam: Partition) -> ValuationProfile:
     """Split statistics computed from the partition alone.
@@ -135,15 +142,16 @@ def _census_chunk(p: int, k: int, modulus, n: int, ranges: list) -> dict:
 
 
 def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
-                       budget: int = DEFAULT_BUDGET, max_n: int = 6,
-                       batch: int = DEFAULT_BATCH) -> dict[Partition, int]:
+                       budget: int = DEFAULT_BUDGET,
+                       max_n: int = 6) -> dict[Partition, int]:
     """Tally Jordan types of all strictly upper triangular n x n matrices.
 
     Enumerates all q^(n(n-1)/2) matrices with a mixed-radix counter over
     the free entries, computes rank sequences in index ranges of at most
-    ``batch`` matrices (the work units of ``run_census``), and returns the
-    per-partition counts.  With several workers the ranges are cut small
-    enough that each worker gets about ``UNITS_PER_WORKER`` of them.
+    ``DEFAULT_BATCH`` matrices (the work units of ``run_census``), and
+    returns the per-partition counts.  With several workers the ranges
+    are cut small enough that each worker gets about ``UNITS_PER_WORKER``
+    of them.
     Raises TooLarge beyond the configured bounds.
     """
     if n < 1:
@@ -152,9 +160,9 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
         raise TooLarge(f"n={n} exceeds the configured bound {max_n}")
     space = ctx.q ** (n * (n - 1) // 2)
     check_budget(space, budget, "matrices")
-    step = batch
+    step = DEFAULT_BATCH
     if workers > 1:
-        step = min(batch, -(-space // (workers * UNITS_PER_WORKER)))
+        step = min(step, -(-space // (workers * UNITS_PER_WORKER)))
     ranges = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
     tally = run_census(_census_chunk, (ctx.p, ctx.k, ctx.modulus, n), ranges,
                        workers)

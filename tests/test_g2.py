@@ -156,7 +156,7 @@ def test_predicted_rank_sequence_examples():
 
 def test_predicted_matches_actual_on_samples():
     rng = random.Random(13)
-    for q in (5, 7, 25):
+    for q in (5, 7, 11, 25, 49):
         ctx = field_of_order(q)
         for _ in range(60):
             params = G2Params(*(rng.randrange(q) for _ in range(6)))

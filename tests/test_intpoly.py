@@ -133,6 +133,19 @@ def test_split_round_trip(base, a, b):
         assert (s.a, s.b, s.r) == (a, b, base)
 
 
+@given(_int_polys, _int_polys, _int_polys, st.integers(-50, 50))
+def test_ring_laws(f, g, h, x):
+    zero, one = IntPoly(), IntPoly((1,))
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and (f - f).is_zero()
+    assert (f + g)(x) == f(x) + g(x)
+    assert (f * g)(x) == f(x) * g(x)
+
+
 @given(_int_polys, st.randoms(use_true_random=False))
 def test_interpolate_round_trip(poly, rng):
     xs = rng.sample(range(-60, 61), max(poly.degree, 0) + 1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kirillov.errors import TooLarge
@@ -54,6 +56,15 @@ def test_valuation_profile_examples():
         assert (ones.a, ones.b, ones.deg_r, ones.lead_r) == (0, 0, 0, 1)
 
 
+def test_valuation_profile_matches_only_its_own_split():
+    split = split_qfactors(P(Partition((2, 2))))
+    prof = valuation_profile(Partition((2, 2)))
+    assert prof.matches(split)
+    for field in ("a", "b", "deg_r", "lead_r"):
+        off = dataclasses.replace(prof, **{field: getattr(prof, field) + 1})
+        assert not off.matches(split), field
+
+
 def test_structure_suite_to_n10():
     for n in range(1, 11):
         for lam in partitions_of(n):
@@ -91,10 +102,9 @@ def test_census_matches_recursion_small_grid():
 def test_census_worker_split_deterministic():
     ctx = field_of_order(3)
     single = brute_force_census(5, ctx, workers=1)
+    # 3^10 matrices in 16 and 24 index ranges, dealt round-robin
     for workers in (2, 3):
         assert brute_force_census(5, ctx, workers=workers) == single
-    # 3^10 matrices in 60 index ranges, dealt round-robin, 20 to each worker
-    assert brute_force_census(5, ctx, workers=3, batch=1000) == single
     # more workers than matrices: GF(2)'s two 2 x 2 matrices, one range each
     assert brute_force_census(2, make_prime_field(2), workers=3) == \
         {Partition((2,)): 1, Partition((1, 1)): 1}
