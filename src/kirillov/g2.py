@@ -19,7 +19,7 @@ involve 2 and 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -144,11 +144,21 @@ def entry_table() -> tuple[tuple[int, int, int, int], ...]:
     """``(i, j, param, coefficient)``: entry (i, j) of X (0-based) holds
     ``coefficient`` times parameter ``param`` (0..5 for a..f).  Derived
     from ``build_chevalley()``; ``verify_displayed_powers`` checks the X
-    it assembles against the transcribed template."""
+    it assembles against the transcribed template.
+
+    No two terms share a position (raises AssertionError otherwise), so
+    the census writes each entry of X once instead of adding into it.  The
+    grading that ``torus_weights`` checks implies this: an entry (i, j)
+    of E(m, n) has w_i - w_j = (m, n), so one position lies on one root.
+    """
     basis = build_chevalley().matrices
-    return tuple((i, j, param, basis[root][i][j])
-                 for param, root in enumerate(PARAM_ROOTS)
-                 for i in range(DIM) for j in range(DIM) if basis[root][i][j])
+    table = tuple((i, j, param, basis[root][i][j])
+                  for param, root in enumerate(PARAM_ROOTS)
+                  for i in range(DIM) for j in range(DIM) if basis[root][i][j])
+    positions = [(i, j) for i, j, _, _ in table]
+    if len(set(positions)) != len(positions):
+        raise AssertionError(f"two terms of X share a position: {positions}")
+    return table
 
 
 def x_of(params: G2Params, ctx: FieldCtx) -> FMatrix:
@@ -313,11 +323,18 @@ def verify_displayed_powers() -> PowersReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)  # the tables of GF(13^3) alone take about 60 MB
+def _field_tables(p: int, k: int, modulus) -> FieldTables:
+    """The ``FieldTables`` of GF(p^k), built once per field: keyed by the
+    field's definition, so equal contexts share them."""
+    return FieldTables(FieldCtx(p, k, _modulus=modulus))
+
+
 def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
     """Rank sequence of X predicted from polynomial predicates alone: the
     one-tuple case of ``_predicted_batch``, which defines the predicates."""
     _require_char(ctx)
-    t = FieldTables(ctx)
+    t = _field_tables(ctx.p, ctx.k, ctx.modulus)
     a, b, c, d, e, f = params
     b, c, d, e = (np.array([x], dtype=t.dtype) for x in (b, c, d, e))
     return tuple(int(r) for r in _predicted_batch(t, a, f, b, c, d, e)[0])
@@ -340,8 +357,7 @@ def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
     These are the only copy of the predicates: the census checks them
     against the computed rank sequence of every tuple it enumerates.
     """
-    size = len(b)
-    out = np.zeros((size, 6), dtype=b.dtype)
+    out = np.zeros((6, len(b)), dtype=b.dtype).T  # columns stored batch-last
     if a and f:
         out[:] = FULL_RANK_SEQ
         return out
@@ -424,11 +440,11 @@ def _g2_chunk(p: int, k: int, modulus, slices: list) -> dict:
             digits = decode_mixed_radix(lo, hi, q, 4, dtype=tables.dtype)
             b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(4))
             params = (a_val, b_arr, c_arr, d_arr, e_arr, f_val)
-            mats = np.zeros((hi - lo, DIM, DIM), dtype=tables.dtype)
+            mats = np.zeros((DIM, DIM, hi - lo), dtype=tables.dtype)
             for i, j, param, coeff in entry_table():
-                mats[:, i, j] = tables.add(
-                    mats[:, i, j], tables.scale_int(coeff, params[param]))
-            seqs = power_rank_sequences(tables.embed(mats), tables)
+                mats[i, j] = tables.scale_int(coeff, params[param])
+            seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
+                                        tables)
             actual_keys = encode_sequences(seqs)
             pred = _predicted_batch(tables, a_val, f_val,
                                     b_arr, c_arr, d_arr, e_arr)

@@ -134,9 +134,10 @@ def _census_chunk(p: int, k: int, modulus, n: int, ranges: list) -> dict:
     for lo, hi in ranges:
         digits = decode_mixed_radix(lo, hi, ctx.q, len(rows),
                                     dtype=tables.dtype)
-        mats = np.zeros((hi - lo, n, n), dtype=tables.dtype)
-        mats[:, rows, cols] = digits
-        seqs = power_rank_sequences(tables.embed(mats), tables)
+        mats = np.zeros((n, n, hi - lo), dtype=tables.dtype)
+        mats[rows, cols] = digits.T
+        seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
+                                    tables)
         tally_keys(tally, encode_sequences(seqs), n - 1)
     return tally
 

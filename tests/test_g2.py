@@ -164,6 +164,51 @@ def test_predicted_matches_actual_on_samples():
                 rank_sequence(x_of(params, ctx)), (q, params)
 
 
+def test_predicted_rank_sequence_builds_the_tables_once_per_field(
+        monkeypatch):
+    import kirillov.g2 as g2mod
+
+    builds = []
+
+    class CountedTables(g2mod.FieldTables):
+        def __init__(self, ctx, n=1):
+            builds.append(ctx.q)
+            super().__init__(ctx, n)
+
+    monkeypatch.setattr(g2mod, "FieldTables", CountedTables)
+    g2mod._field_tables.cache_clear()
+    rng = random.Random(49)
+    try:
+        for _ in range(200):
+            ctx = field_of_order(49)  # a new context object on every call
+            params = G2Params(*(rng.randrange(49) for _ in range(6)))
+            assert predicted_rank_sequence(params, ctx) == \
+                rank_sequence(x_of(params, ctx)), params
+    finally:
+        g2mod._field_tables.cache_clear()
+    assert builds == [49]
+
+
+def test_entry_table_rejects_two_terms_on_one_position(monkeypatch):
+    # the census writes each entry of X once, which is right only while
+    # no two terms of the table share a position
+    import kirillov.g2 as g2mod
+    from types import SimpleNamespace
+
+    matrices = {root: [list(row) for row in mat]
+                for root, mat in build_chevalley().matrices.items()}
+    i, j, _, _ = next(term for term in entry_table() if term[2] == 0)
+    matrices[PARAM_ROOTS[1]][i][j] = 1  # b onto a position of a
+    monkeypatch.setattr(g2mod, "build_chevalley",
+                        lambda: SimpleNamespace(matrices=matrices))
+    entry_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="share a position"):
+            entry_table()
+    finally:
+        entry_table.cache_clear()
+
+
 def test_census_gf5_counts():
     report = census_cached(5)
     expected = {

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from kirillov._kernels import (
     FieldTables,
+    decode_mixed_radix,
     decode_sequence,
     dtype_for,
     encode_sequences,
@@ -286,3 +287,101 @@ def test_rank_batch_matches_exact_rank_on_band_slices(p, k, nrows, ncols,
                                for j in range(side)] for i in range(side)]).rank()
                 for m in band]
     assert [int(r) for r in rank_batch(band, tables)] == expected
+
+
+def _padded_rank(ctx: FieldCtx, rows: list) -> int:
+    """Rank of a (possibly non-square) matrix by ``FMatrix``, which is
+    square: padded with zero rows or columns."""
+    side = max(len(rows), len(rows[0]))
+    return FMatrix(ctx, [[row[j] if j < len(row) else 0 for j in range(side)]
+                         for row in rows]
+                   + [[0] * side] * (side - len(rows))).rank()
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_rank_batch_reaches_rows_below_later_leading_ones(q):
+    # rows out of lead order (a row's lead is its first column that is
+    # nonzero in some matrix of the batch): column 0 has to reach row 1
+    # past the zero row 0, so the rows an elimination step touches end at
+    # the last row with lead <= col, not after as many rows as lead there
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, 4)
+    batches = (
+        [[[0, 0, 1], [1, 0, 0]]],
+        [[[0, 0, 0], [0, 0, 0], [0, 2, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+        [[[0, 0, 0, 3], [0, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
+         [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 5, 1]]],
+    )
+    for rows in batches:
+        ranks = rank_batch(np.array(rows, dtype=tables.dtype), tables)
+        assert [int(r) for r in ranks] == [_padded_rank(ctx, m) for m in rows]
+    assert [int(r) for r in rank_batch(np.array(batches[0], dtype=tables.dtype),
+                                       tables)] == [2]
+
+
+@pytest.mark.parametrize("p, k", FIELDS)
+@given(nrows=st.integers(1, 6), ncols=st.integers(1, 6),
+       size=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_rank_batch_matches_exact_rank_with_shuffled_leads(p, k, nrows, ncols,
+                                                           size, seed):
+    # every row is zero left of a column shared by the whole batch (its
+    # lead, ncols for an all-zero row), and the leads are in random order
+    ctx, tables = _field(p, k)
+    rng = random.Random(seed)
+    leads = [rng.randrange(ncols + 1) for _ in range(nrows)]
+    rows = [[[rng.randrange(ctx.q) if j >= leads[i] else 0
+              for j in range(ncols)] for i in range(nrows)]
+            for _ in range(size)]
+    ranks = rank_batch(np.array(rows, dtype=tables.dtype), tables)
+    assert [int(r) for r in ranks] == [_padded_rank(ctx, m) for m in rows]
+
+
+def _layouts(rows: list, dtype) -> dict:
+    """One batch in the layouts the kernels may be given: C-contiguous
+    (B, n, n), the (B, n, n) view of a C-contiguous batch-last (n, n, B)
+    array (as the censuses pass it), and a strided slice of a larger
+    buffer."""
+    c_order = np.array(rows, dtype=dtype)
+    batch_last = c_order.transpose(1, 2, 0).copy(order="C")
+    bsize, nrows, ncols = c_order.shape
+    buffer = np.full((2 * bsize, nrows + 2, ncols + 3), 1, dtype=dtype)
+    buffer[::2, 1:nrows + 1, 2:ncols + 2] = c_order
+    return {"c_order": c_order, "batch_last": batch_last.transpose(2, 0, 1),
+            "strided": buffer[::2, 1:nrows + 1, 2:ncols + 2]}
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_kernels_give_equal_results_on_every_layout_and_keep_the_input(q):
+    ctx = field_of_order(q)
+    n = 6
+    tables = FieldTables(ctx, n)
+    rng = random.Random(q)
+    upper = [_random_rows(rng, q, n, n, upper=True) for _ in range(60)]
+    general = [_random_rows(rng, q, n - 1, n, upper=False) for _ in range(60)]
+    sequences = [rank_sequence(FMatrix(ctx, m)) for m in upper]
+    ranks = [_padded_rank(ctx, m) for m in general]
+    for name, mats in _layouts(upper, tables.dtype).items():
+        saved = mats.copy()
+        seqs = power_rank_sequences(mats, tables)
+        assert [tuple(int(x) for x in seq) for seq in seqs] == sequences, name
+        assert np.array_equal(mats, saved), name
+    for name, mats in _layouts(general, tables.dtype).items():
+        saved = mats.copy()
+        assert [int(r) for r in rank_batch(mats, tables)] == ranks, name
+        assert np.array_equal(mats, saved), name
+
+
+def test_decode_mixed_radix_from_a_nonzero_start_across_a_carry():
+    radix, width = 7, 4
+    start, stop = 7**3 - 5, 2 * 7**3 + 9  # the third digit carries into the top
+    digits = decode_mixed_radix(start, stop, radix, width, np.int32)
+    assert len(digits) == stop - start
+    expected = []
+    for x in range(start, stop):
+        row = []
+        for _ in range(width):
+            x, digit = divmod(x, radix)
+            row.append(digit)
+        expected.append(row[::-1])
+    assert digits.tolist() == expected
+    assert expected[4] == [0, 6, 6, 6] and expected[5] == [1, 0, 0, 0]
