@@ -24,7 +24,6 @@ from .fields import (
     FMatrix,
     field_of_order,
     jordan_type,
-    make_extension_field,
     make_prime_field,
     rank_sequence,
 )

@@ -121,8 +121,9 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero.  Raises
     OverflowError unless c (p-1)^2 fits the dtype of ``mats``, whose
     entries must be field-encoded (residues in 0..p-1 for k = 1), so the
-    batch is copied without a reduction.  A batch with no nonzero entry
-    (an empty batch, or one of the all-zero bands that
+    batch is copied without a reduction.  For k > 1 it raises unless the
+    dtype holds the table indices x*q + y of the gathers.  A batch with
+    no nonzero entry (an empty batch, or one of the all-zero bands that
     ``power_rank_sequences`` ranks past the first zero power) has rank 0
     and is not eliminated; the zero test runs on the contiguous copy,
     which costs far less than on a strided band.
@@ -131,6 +132,8 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     bsize, nrows, ncols = mats.shape
     if prime:
         _check_products_fit(p, ncols, mats.dtype)
+    else:
+        _check_indices_fit(t.q, mats.dtype)
     a = mats.transpose(1, 2, 0).copy(order="C")
     rank = np.zeros(bsize, dtype=a.dtype)
     if not a.any():

@@ -49,12 +49,9 @@ def _route(args) -> str:
     return "exhaustive" if args.exhaustive else "weighted"
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("KIRILLOV_WORKERS", "1"))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, rows, ok)
+# subcommand handlers: each returns (payload, rows, ok), where ok is None
+# for a command that computes without verifying anything
 # ---------------------------------------------------------------------------
 
 
@@ -121,7 +118,7 @@ def _cmd_typea_scan(args):
     rows = [{"partition": lam.text(), "verdict": v.kind, "method": v.method,
              "factors": " * ".join(f"({f.text()})" for f in v.factors)}
             for lam, v in report.verdicts.items()]
-    return payload, rows, True
+    return payload, rows, None
 
 
 def _cmd_typea_table4(args):
@@ -176,7 +173,7 @@ def _cmd_g2_build(args):
     }
     rows = []
     for root in g2mod.POSITIVE_ROOTS:
-        mat = basis.matrices[root]
+        mat = basis[root]
         name = f"{root[0]}a1+{root[1]}a2"
         payload["roots"][name] = [list(r) for r in mat]
         rows.append({"root": name,
@@ -295,7 +292,7 @@ def _cmd_poly_split(args):
     }
     rows = [{"polynomial": poly.text(), "a": split.a, "b": split.b,
              "r": split.r.text()}]
-    return payload, rows, True
+    return payload, rows, None
 
 
 def _cmd_poly_irred(args):
@@ -314,7 +311,7 @@ def _cmd_poly_irred(args):
     rows = [{"polynomial": poly.text(), "verdict": verdict.kind,
              "method": verdict.method,
              "factors": " * ".join(f"({f.text()})" for f in verdict.factors)}]
-    return payload, rows, True
+    return payload, rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def _cmd_poly_irred(args):
 # ---------------------------------------------------------------------------
 
 
-def _render(payload, rows, fmt: str) -> str:
+def _render(payload, rows, ok, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
@@ -341,15 +338,8 @@ def _render(payload, rows, fmt: str) -> str:
     lines.append("  ".join("-" * widths[c] for c in cols))
     for r in rows:
         lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
-    status = payload.get("passed")
-    if status is None:
-        for key in ("recursion_match", "profile_matches_split",
-                    "counts_match_polynomials", "template_ok"):
-            if key in payload:
-                status = payload[key]
-                break
-    if status is not None:
-        lines.append(f"status: {'PASS' if status else 'FAIL'}")
+    if ok is not None:
+        lines.append(f"status: {'PASS' if ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,7 +355,10 @@ def _add_common(parser, workers=False, budget=False):
     parser.add_argument("--out", default=None,
                         help="write output to this path instead of stdout")
     if workers:
-        parser.add_argument("--workers", type=int, default=_default_workers(),
+        # a string default goes through type=int too, so a bad
+        # $KIRILLOV_WORKERS is a usage error, and only where --workers is
+        parser.add_argument("--workers", type=int,
+                            default=os.environ.get("KIRILLOV_WORKERS", "1"),
                             help="parallel census workers "
                                  "(default: $KIRILLOV_WORKERS or 1)")
     if budget:
@@ -471,13 +464,13 @@ def main(argv=None) -> int:
             DuplicateAbscissa, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(payload, rows, args.format)
+    text = _render(payload, rows, ok, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if ok else 1
+    return 1 if ok is False else 0
 
 
 if __name__ == "__main__":

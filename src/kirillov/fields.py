@@ -29,7 +29,7 @@ class FieldCtx:
 
     __slots__ = ("p", "k", "q", "modulus")
 
-    def __init__(self, p: int, k: int = 1, _modulus=None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k < 1:
@@ -37,20 +37,13 @@ class FieldCtx:
         self.p = p
         self.k = k
         self.q = p**k
-        if k == 1:
-            self.modulus = None
-        else:
-            self.modulus = _modulus if _modulus is not None else _find_modulus(p, k)
+        self.modulus = None if k == 1 else _find_modulus(p, k)
 
     # -- element plumbing ------------------------------------------------
 
     @property
     def zero(self) -> int:
         return 0
-
-    def elements(self):
-        """All elements in canonical (lexicographic encoding) order."""
-        return range(self.q)
 
     def from_int(self, n: int) -> int:
         """Reduce an integer into the prime subfield."""
@@ -80,11 +73,6 @@ class FieldCtx:
         if self.k == 1:
             return (x - y) % self.p
         return self._enc([(a - b) % self.p for a, b in zip(self._vec(x), self._vec(y))])
-
-    def neg(self, x: int) -> int:
-        if self.k == 1:
-            return (-x) % self.p
-        return self._enc([(-a) % self.p for a in self._vec(x)])
 
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
@@ -180,13 +168,6 @@ def make_prime_field(p: int) -> FieldCtx:
     return FieldCtx(p, 1)
 
 
-def make_extension_field(p: int, k: int) -> FieldCtx:
-    """GF(p^k) for prime p and k >= 2."""
-    if k < 2:
-        raise ValueError("use make_prime_field for k = 1")
-    return FieldCtx(p, k)
-
-
 def field_of_order(q: int) -> FieldCtx:
     """GF(q) for a prime power q."""
     if q < 2:
@@ -219,19 +200,6 @@ class FMatrix:
         if any(len(row) != self.n for row in self.rows):
             raise ValueError("matrix must be square")
 
-    @classmethod
-    def from_int_rows(cls, ctx: FieldCtx, rows) -> "FMatrix":
-        """Build from integer entries, reducing into the prime subfield."""
-        return cls(ctx, [[ctx.from_int(x) for x in row] for row in rows])
-
-    @classmethod
-    def zeros(cls, ctx: FieldCtx, n: int) -> "FMatrix":
-        return cls(ctx, [[0] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "FMatrix":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         if isinstance(other, FMatrix):
             return self.ctx == other.ctx and self.rows == other.rows
@@ -243,16 +211,8 @@ class FMatrix:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.rows)
 
-    def __add__(self, other):
-        ctx = self.ctx
-        return FMatrix(ctx, [
-            [ctx.add(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ])
-
     def __matmul__(self, other):
         ctx = self.ctx
-        n = self.n
         cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
@@ -265,16 +225,6 @@ class FMatrix:
                 out_row.append(acc)
             out.append(out_row)
         return FMatrix(ctx, out)
-
-    def power(self, e: int) -> "FMatrix":
-        result = FMatrix.identity(self.ctx, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
 
     def rank(self) -> int:
         """Rank by exact forward elimination with row pivoting."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -80,19 +81,15 @@ def _require_char(ctx: FieldCtx) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class G2Basis:
-    """The six positive-root matrices of the 7-dimensional representation."""
-
-    matrices: dict  # root (m, n) -> 7x7 tuple-of-tuples of ints
+def _matmul(x, y, zero):
+    """The product of two 7x7 matrices whose entries add up from ``zero``
+    (integers or ``MultiPoly``)."""
+    return [[sum((x[i][k] * y[k][j] for k in range(DIM)), zero)
+             for j in range(DIM)] for i in range(DIM)]
 
 
 def _bracket(x, y):
-    def prod(u, v):
-        return [[sum(u[i][k] * v[k][j] for k in range(DIM)) for j in range(DIM)]
-                for i in range(DIM)]
-
-    xy, yx = prod(x, y), prod(y, x)
+    xy, yx = _matmul(x, y, 0), _matmul(y, x, 0)
     return [[xy[i][j] - yx[i][j] for j in range(DIM)] for i in range(DIM)]
 
 
@@ -109,8 +106,10 @@ def _scale_exact(mat, divisor: int):
 
 
 @cache
-def build_chevalley() -> G2Basis:
-    """Build all six positive-root matrices from the two generators.
+def build_chevalley() -> MappingProxyType:
+    """The six positive-root matrices of the 7-dimensional representation,
+    as a read-only mapping root (m, n) -> 7x7 tuple of tuples of ints
+    (every caller shares the cached one).
 
     The generator images are fixed 7x7 integer matrices; the remaining
     basis elements follow by brackets, with exact divisions by 2 and 3.
@@ -135,7 +134,7 @@ def build_chevalley() -> G2Basis:
             for j in range(i + 1):
                 if mat[i][j]:
                     raise AssertionError(f"basis element {root} is not strictly upper")
-    return G2Basis(matrices={r: tuple(tuple(row) for row in m)
+    return MappingProxyType({r: tuple(tuple(row) for row in m)
                              for r, m in matrices.items()})
 
 
@@ -151,7 +150,7 @@ def entry_table() -> tuple[tuple[int, int, int, int], ...]:
     grading that ``torus_weights`` checks implies this: an entry (i, j)
     of E(m, n) has w_i - w_j = (m, n), so one position lies on one root.
     """
-    basis = build_chevalley().matrices
+    basis = build_chevalley()
     table = tuple((i, j, param, basis[root][i][j])
                   for param, root in enumerate(PARAM_ROOTS)
                   for i in range(DIM) for j in range(DIM) if basis[root][i][j])
@@ -187,7 +186,7 @@ def torus_weights(matrices=None) -> tuple[tuple[int, int], ...]:
         raise AssertionError(f"a and f must sit on the simple roots, "
                              f"got {PARAM_ROOTS}")
     if matrices is None:
-        matrices = build_chevalley().matrices
+        matrices = build_chevalley()
     entries = [(i, j, root) for root, mat in matrices.items()
                for i in range(DIM) for j in range(DIM) if mat[i][j]]
     weights = {0: (0, 0)}
@@ -278,11 +277,6 @@ def _sparse(entries: dict, zero=ZERO) -> list[list]:
     return out
 
 
-def _sym_matmul(x, y):
-    return [[sum((x[i][k] * y[k][j] for k in range(DIM)), ZERO)
-             for j in range(DIM)] for i in range(DIM)]
-
-
 @dataclass
 class PowersReport:
     """Entrywise comparison of computed symbolic powers vs. closed forms."""
@@ -307,7 +301,7 @@ def verify_displayed_powers() -> PowersReport:
     power_mismatches = []
     current = generic
     for power in range(2, 7):
-        current = _sym_matmul(current, generic)
+        current = _matmul(current, generic, ZERO)
         expected = reference_matrix(power)
         for i in range(DIM):
             for j in range(DIM):
@@ -324,17 +318,17 @@ def verify_displayed_powers() -> PowersReport:
 
 
 @lru_cache(maxsize=4)  # the tables of GF(13^3) alone take about 60 MB
-def _field_tables(p: int, k: int, modulus) -> FieldTables:
-    """The ``FieldTables`` of GF(p^k), built once per field: keyed by the
-    field's definition, so equal contexts share them."""
-    return FieldTables(FieldCtx(p, k, _modulus=modulus))
+def _field_tables(ctx: FieldCtx) -> FieldTables:
+    """The ``FieldTables`` of a field, built once per field: contexts hash
+    and compare by the field's definition, so equal contexts share them."""
+    return FieldTables(ctx)
 
 
 def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
     """Rank sequence of X predicted from polynomial predicates alone: the
     one-tuple case of ``_predicted_batch``, which defines the predicates."""
     _require_char(ctx)
-    t = _field_tables(ctx.p, ctx.k, ctx.modulus)
+    t = _field_tables(ctx)
     a, b, c, d, e, f = params
     b, c, d, e = (np.array([x], dtype=t.dtype) for x in (b, c, d, e))
     return tuple(int(r) for r in _predicted_batch(t, a, f, b, c, d, e)[0])
@@ -427,8 +421,7 @@ def _census_slices(q: int, exhaustive: bool) -> list[tuple[int, int, int]]:
     return [(a, f, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)]
 
 
-def _g2_chunk(p: int, k: int, modulus, slices: list) -> dict:
-    ctx = FieldCtx(p, k, _modulus=modulus)
+def _g2_chunk(ctx: FieldCtx, slices: list) -> dict:
     tables = FieldTables(ctx, DIM)
     q = ctx.q
     inner = q**4
@@ -484,8 +477,8 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)
-    cases = run_census(_g2_chunk, (ctx.p, ctx.k, ctx.modulus),
-                       _census_slices(ctx.q, exhaustive), workers)
+    cases = run_census(_g2_chunk, (ctx,), _census_slices(ctx.q, exhaustive),
+                       workers)
     counts = merge_tallies([cases],
                            lambda key: jordan_type_from_ranks(key[1], DIM))
     return CensusReport(q=ctx.q, counts=counts,

@@ -134,13 +134,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_in(self, ctx, x):
-        """Horner evaluation at a field element of ``ctx``."""
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), ctx.from_int(c))
-        return acc
-
     # -- presentation ---------------------------------------------------
 
     def text(self) -> str:
@@ -470,10 +463,6 @@ class Verdict:
     method: str = ""
     witness: tuple = ()
     factors: tuple = ()
-
-    @property
-    def is_irreducible(self) -> bool:
-        return self.kind == "irreducible"
 
     @property
     def is_reducible(self) -> bool:

@@ -126,8 +126,7 @@ def conservation_sum(n: int) -> IntPoly:
 UNITS_PER_WORKER = 8
 
 
-def _census_chunk(p: int, k: int, modulus, n: int, ranges: list) -> dict:
-    ctx = FieldCtx(p, k, _modulus=modulus)
+def _census_chunk(ctx: FieldCtx, n: int, ranges: list) -> dict:
     tables = FieldTables(ctx, n)
     rows, cols = np.triu_indices(n, 1)
     tally: dict[tuple, int] = {}
@@ -165,8 +164,7 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     if workers > 1:
         step = min(step, -(-space // (workers * UNITS_PER_WORKER)))
     ranges = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-    tally = run_census(_census_chunk, (ctx.p, ctx.k, ctx.modulus, n), ranges,
-                       workers)
+    tally = run_census(_census_chunk, (ctx, n), ranges, workers)
     return merge_tallies([tally], lambda key: jordan_type_from_ranks(key[0], n))
 
 

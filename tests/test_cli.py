@@ -101,6 +101,43 @@ def test_g2_census_byte_identical_across_workers(capsys):
     assert t1 == t2
 
 
+def test_table_status_follows_the_exit_code(capsys, monkeypatch):
+    # the closed forms enter the verdict as well as the polynomials
+    import kirillov.g2 as g2mod
+
+    code, out = run(capsys, "g2", "census", "5")
+    assert code == 0 and out.endswith("status: PASS\n")
+    original = g2mod.closed_form_case_counts
+
+    def off_by_one(q):
+        first, *rest = original(q)
+        return [first._replace(count=first.count + 1), *rest]
+
+    monkeypatch.setattr(g2mod, "closed_form_case_counts", off_by_one)
+    code, out = run(capsys, "g2", "census", "5")
+    assert code == 1 and out.endswith("status: FAIL\n")
+
+
+@pytest.mark.parametrize("argv", [["typea", "scan", "6"],
+                                  ["poly", "split", "0,0,0,1,1"],
+                                  ["poly", "irred", "1,3,2"]])
+def test_commands_without_a_verdict_print_no_status(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out and "status:" not in out
+
+
+def test_bad_workers_variable_is_a_usage_error_only_with_workers(
+        capsys, monkeypatch):
+    monkeypatch.setenv("KIRILLOV_WORKERS", "two")
+    code, out = run(capsys, "typea", "poly", "3")
+    assert code == 0 and "status: PASS" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["g2", "census", "5"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_g2_census_rejects_small_characteristic(capsys):
     code = main(["g2", "census", "3"])
     err = capsys.readouterr().err

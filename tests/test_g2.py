@@ -5,6 +5,7 @@ import pytest
 from kirillov.errors import (
     BadCharacteristic,
     InsufficientPoints,
+    NotPrime,
     PredicateMismatch,
     TooLarge,
 )
@@ -15,6 +16,7 @@ from kirillov.fields import (
     rank_sequence,
 )
 from kirillov.g2 import (
+    COMPLEMENT_PARTITION,
     DIM,
     PARAM_ROOTS,
     SPRINGER_TABLE,
@@ -34,13 +36,20 @@ from kirillov.g2 import (
     verify_displayed_powers,
     x_of,
 )
-from kirillov.intpoly import IntPoly, Q, Q_MINUS_1, split_qfactors, irreducibility
+from kirillov.intpoly import (
+    IntPoly,
+    Q,
+    Q_MINUS_1,
+    irreducibility,
+    poly_interpolate,
+    split_qfactors,
+)
 from kirillov.multipoly import MultiPoly
-from kirillov.partitions import Partition
+from kirillov.partitions import Partition, jordan_type_from_ranks
 
 
 def test_generator_matrices():
-    basis = build_chevalley().matrices
+    basis = build_chevalley()
     e1 = basis[(1, 0)]
     expected1 = [[0] * 7 for _ in range(7)]
     expected1[0][1] = 1
@@ -96,12 +105,13 @@ def test_power6_structure():
 
 
 def test_symbolic_seventh_power_vanishes():
-    from kirillov.g2 import _sym_matmul
+    from kirillov.g2 import _matmul
+    from kirillov.multipoly import ZERO
 
     generic = symbolic_generic_matrix()
     current = generic
     for _ in range(6):
-        current = _sym_matmul(current, generic)
+        current = _matmul(current, generic, ZERO)
     assert all(entry.is_zero() for row in current for entry in row)
 
 
@@ -136,7 +146,8 @@ def test_x_is_nilpotent_of_order_seven():
         ctx = field_of_order(q)
         for _ in range(8):
             params = G2Params(*(rng.randrange(q) for _ in range(6)))
-            assert x_of(params, ctx).power(7).is_zero()
+            # raises NotNilpotent unless X^7 = 0
+            assert len(rank_sequence(x_of(params, ctx))) == DIM - 1
 
 
 def test_predicted_rank_sequence_examples():
@@ -193,14 +204,12 @@ def test_entry_table_rejects_two_terms_on_one_position(monkeypatch):
     # the census writes each entry of X once, which is right only while
     # no two terms of the table share a position
     import kirillov.g2 as g2mod
-    from types import SimpleNamespace
-
     matrices = {root: [list(row) for row in mat]
-                for root, mat in build_chevalley().matrices.items()}
+                for root, mat in build_chevalley().items()}
     i, j, _, _ = next(term for term in entry_table() if term[2] == 0)
     matrices[PARAM_ROOTS[1]][i][j] = 1  # b onto a position of a
     monkeypatch.setattr(g2mod, "build_chevalley",
-                        lambda: SimpleNamespace(matrices=matrices))
+                        lambda: matrices)
     entry_table.cache_clear()
     try:
         with pytest.raises(AssertionError, match="share a position"):
@@ -229,6 +238,25 @@ def test_census_case_tallies_gf5_and_gf7():
             assert report.cases[(cc.case, cc.rank_seq)] == cc.count, (q, cc)
         # per-case totals partition q^6
         assert sum(report.cases.values()) == q**6
+
+
+def test_closed_form_case_counts_sum_to_the_polynomials():
+    # per Jordan type, the closed forms (with (3,3,1) as q^6 minus the
+    # rest) equal the counting polynomials as polynomials in q: 8 points
+    # pin a polynomial of degree at most 7
+    points = {lam: [] for lam in expected_polynomials()}
+    for q in (5, 7, 11, 13, 17, 19, 23, 25):
+        sums = {}
+        for cc in closed_form_case_counts(q):
+            lam = jordan_type_from_ranks(cc.rank_seq, DIM)
+            sums[lam] = sums.get(lam, 0) + cc.count
+        assert COMPLEMENT_PARTITION not in sums
+        sums[COMPLEMENT_PARTITION] = q**6 - sum(sums.values())
+        assert sums.keys() == points.keys()
+        for lam, count in sums.items():
+            points[lam].append((q, count))
+    for lam, pts in points.items():
+        assert poly_interpolate(pts) == expected_polynomials()[lam], lam
 
 
 def test_closed_form_values_at_5():
@@ -312,7 +340,7 @@ def test_cached_census_still_checks_the_budget(monkeypatch):
 def test_torus_weights_grade_every_root_matrix():
     weights = torus_weights()
     assert weights[0] == (0, 0) and len(set(weights)) == DIM
-    for root, mat in build_chevalley().matrices.items():
+    for root, mat in build_chevalley().items():
         for i in range(DIM):
             for j in range(DIM):
                 if mat[i][j]:
@@ -325,7 +353,7 @@ def test_torus_weights_reject_an_ungraded_basis(monkeypatch):
     import kirillov.g2 as g2mod
 
     matrices = {root: [list(row) for row in mat]
-                for root, mat in build_chevalley().matrices.items()}
+                for root, mat in build_chevalley().items()}
     matrices[(1, 1)][0][6] = 1  # entry (1,7) needs root (4, 2), not (1, 1)
     with pytest.raises(AssertionError, match="joins weights differing"):
         torus_weights(matrices)
@@ -359,13 +387,31 @@ def test_census_kernel_agrees_with_reference_path_gf25():
             rank_sequence(x_of(params, ctx))
 
 
+def _admissible_orders(limit: int) -> list[int]:
+    """Every prime power q <= limit of characteristic above 3."""
+    orders = []
+    for q in range(5, limit + 1):
+        try:
+            if field_of_order(q).p > 3:
+                orders.append(q)
+        except NotPrime:
+            pass
+    return orders
+
+
 @pytest.mark.slow
-def test_weighted_census_gf25_matches_the_polynomials():
-    # the first extension-field point of the five g2 counting polynomials
-    report = g2_census(field_of_order(25), exhaustive=False)
-    assert report.counts == {lam: poly(25) for lam, poly
-                             in expected_polynomials().items()}
-    assert report.total == 25**6
+def test_weighted_census_matches_at_every_admissible_order_to_49():
+    # beyond the seven interpolation primes: the primes 29..47 and the
+    # extension fields GF(25) and GF(49)
+    orders = _admissible_orders(49)
+    assert orders == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49]
+    for q in orders:
+        report = g2_census(field_of_order(q), exhaustive=False)
+        assert report.counts == {lam: poly(q) for lam, poly
+                                 in expected_polynomials().items()}, q
+        assert report.total == q**6
+        for cc in closed_form_case_counts(q):
+            assert report.cases[(cc.case, cc.rank_seq)] == cc.count, (q, cc)
 
 
 def _synthetic_census(q):
@@ -425,14 +471,14 @@ def test_square_classification_drives_case2_solution_counts():
     or a non-square."""
     for q in (5, 7):
         ctx = field_of_order(q)
-        for b in ctx.elements():
-            for c in ctx.elements():
-                for d in ctx.elements():
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
                     if d == 0:
                         continue
                     disc = ctx.sub(ctx.mul(c, c), ctx.mul(b, d))
                     solutions = 0
-                    for f in ctx.elements():
+                    for f in range(q):
                         u = ctx.add(ctx.mul(b, b), ctx.mul(c, f))
                         v = ctx.add(ctx.mul(b, c), ctx.mul(d, f))
                         w = ctx.sub(ctx.mul(c, c), ctx.mul(b, d))

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function and class it defines is read by the package or the
+benchmark.
 
 ``__init__`` is left out: its imports are the package's exports.
 """
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kirillov"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kirillov"
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
 
@@ -43,3 +46,64 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Definitions that nothing in the package or the benchmark reads, each
+# kept for the reason given.
+READ_ONLY_OUTSIDE = {
+    "quadratic_character": "the symbolic point counter of ROADMAP item 5 "
+                           "counts quadratic equations with it",
+    "evaluate": "MultiPoly.evaluate is the tests' oracle for x_of",
+    "predicted_rank_sequence": "public and documented in the README",
+    "conservation_sum": "public and documented in the README",
+}
+
+
+def definitions(source: str) -> set[str]:
+    """Names of the functions, methods and classes ``source`` defines,
+    dunders excepted."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def reads(source: str) -> set[str]:
+    """Names ``source`` reads: loaded names, loaded attributes and string
+    constants (the benchmark's tracer names what it wraps by string).
+
+    Names, not bindings: a method counts as read when any attribute of
+    that name is loaded, so ``FieldCtx.mul`` is kept alive by
+    ``FieldTables.mul`` calls too.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_unread_definitions_are_found():
+    source = ("class K:\n    def used(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def unused(self):\n        pass\n"
+              "def helper():\n    return K().used()\n"
+              "def patched():\n    pass\n"
+              "TARGETS = ('patched',)\n")
+    assert sorted(definitions(source) - reads(source)) == ["helper", "unused"]
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    read = set()
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= reads(path.read_text(encoding="utf-8"))
+    defined = set()
+    for path in MODULES:
+        defined |= definitions(path.read_text(encoding="utf-8"))
+    assert sorted(defined - read - set(READ_ONLY_OUTSIDE)) == []
+    # every entry still names a definition that nothing else reads
+    assert sorted(set(READ_ONLY_OUTSIDE) - (defined - read)) == []

@@ -189,6 +189,23 @@ def test_power_ranks_refuse_a_dtype_the_table_indices_overflow():
         power_rank_sequences(np.zeros((1, 3, 3), dtype=np.int8), tables)
 
 
+def test_rank_batch_refuses_a_dtype_the_table_indices_overflow():
+    # over GF(25) an int8 index x*q + y wraps (it reaches 24*25 + 24), and
+    # the gathers would then read wrong sums and products; int16 holds it
+    ctx = field_of_order(25)
+    tables = FieldTables(ctx)
+    rng = random.Random(25)
+    mats = []
+    for _ in range(300):  # rank <= 1: outer products u v^T
+        u = [rng.randrange(25) for _ in range(4)]
+        v = [rng.randrange(1, 25) for _ in range(4)]
+        mats.append([[ctx.mul(x, y) for y in v] for x in u])
+    with pytest.raises(OverflowError, match="int8"):
+        rank_batch(np.array(mats, dtype=np.int8), tables)
+    ranks = rank_batch(np.array(mats, dtype=np.int16), tables)
+    assert [int(r) for r in ranks] == [FMatrix(ctx, m).rank() for m in mats]
+
+
 def test_field_tables_size_the_dtype_by_the_embedded_dimension():
     ctx = make_prime_field(8761)
     assert FieldTables(ctx).dtype is np.int32
