@@ -29,12 +29,20 @@ assemble (n, n, B) arrays and pass their (B, n, n) transposed views,
 which the kernels turn back without a copy.
 
 Both censuses run on ``run_census``: a family supplies a chunk function
-and its work units, and the engine deals them out and adds the tallies.
+and its work units, and the engine deals them into shares and adds the
+tallies.  With several shares the calling process computes the first
+itself and forks one child per other share, so two workers cost one
+fork, not a pool of two.  Every call forks afresh and keeps no pool: a
+process forked earlier would run the code as it was at that fork, and so
+miss the wrappers a profiler installs between calls (or a test's
+monkeypatches), and it could outlive the caller's run.  The number of
+shares is capped at the CPUs the process may run on.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 
@@ -407,19 +415,87 @@ def merge_tallies(tallies, key=None) -> dict:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def usable_workers(workers: int) -> int:
+    """``workers`` capped at the usable CPUs: the most shares a census runs
+    at once.  Raises ValueError unless ``workers`` >= 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, _usable_cpus())
+
+
+def _send_share(conn, chunk, head: tuple, share: list) -> None:
+    """The body of a forked child: send ``(True, tally)`` or, if the chunk
+    raises, ``(False, exception)``."""
+    try:
+        result = (True, chunk(*head, share))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+
+
+def _receive(proc, conn) -> dict:
+    """The tally the child ``proc`` sends over ``conn``; re-raises the
+    child's exception, or raises RuntimeError if it exits without sending."""
+    try:
+        ok, value = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"census worker {proc.pid} exited with code "
+                           f"{proc.exitcode} before sending a result") from None
+    if not ok:
+        raise value
+    return value
+
+
 def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     """Sum the tallies ``chunk(*head, share)`` for up to ``workers`` shares.
 
     The units are dealt round-robin, because the costly ones (those whose
     matrices are not single Jordan blocks) cluster at the start of both
-    families' unit lists.  Several shares run in a fork pool, so ``chunk``
-    must be a module-level function.  Tallies add up, so the result is the
-    same for any number of workers.
+    families' unit lists.  There are at most as many shares as units and
+    usable CPUs.  The caller computes share 0 while one forked child per
+    other share computes its own and sends the tally back over a pipe, so
+    ``chunk`` must be a module-level function.  Every result is received
+    before any child is joined: a large tally would fill the pipe and
+    block its sender.  A child's exception is re-raised as it is, a child
+    that dies without sending raises RuntimeError, and on every path the
+    children still running are terminated and all are joined.  Tallies
+    add up in share order, so the result is the same for any number of
+    workers.  Raises ValueError unless ``workers`` >= 1.
     """
-    parts = max(1, min(int(workers), len(units)))
+    parts = max(1, min(usable_workers(workers), len(units)))
     shares = [units[w::parts] for w in range(parts)]
     if parts == 1:
         return merge_tallies([chunk(*head, shares[0])])
-    with mp.get_context("fork").Pool(parts) as pool:
-        return merge_tallies(pool.starmap(chunk, [(*head, share)
-                                                  for share in shares]))
+    ctx = mp.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share,
+                               args=(send, chunk, head, share), daemon=True)
+            # only the child keeps the sending end open, so its death
+            # reads as end of file
+            with send:
+                proc.start()
+            children.append((proc, recv))
+        tallies = [chunk(*head, shares[0])]
+        tallies += [_receive(proc, recv) for proc, recv in children]
+        for proc, _ in children:
+            proc.join()
+    finally:
+        for proc, recv in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return merge_tallies(tallies)

@@ -349,15 +349,27 @@ def _add_census_route(parser):
                              "torus representatives")
 
 
+def _worker_count(text: str) -> int:
+    """The ``--workers`` type: an integer >= 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return workers
+
+
 def _add_common(parser, workers=False, budget=False):
     parser.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     parser.add_argument("--out", default=None,
                         help="write output to this path instead of stdout")
     if workers:
-        # a string default goes through type=int too, so a bad
+        # a string default goes through the type too, so a bad
         # $KIRILLOV_WORKERS is a usage error, and only where --workers is
-        parser.add_argument("--workers", type=int,
+        parser.add_argument("--workers", type=_worker_count,
                             default=os.environ.get("KIRILLOV_WORKERS", "1"),
                             help="parallel census workers "
                                  "(default: $KIRILLOV_WORKERS or 1)")

@@ -41,10 +41,6 @@ class FieldCtx:
 
     # -- element plumbing ------------------------------------------------
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def from_int(self, n: int) -> int:
         """Reduce an integer into the prime subfield."""
         return n % self.p

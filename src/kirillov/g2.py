@@ -36,6 +36,7 @@ from ._kernels import (
     power_rank_sequences,
     run_census,
     tally_keys,
+    usable_workers,
 )
 from .errors import (
     BadCharacteristic,
@@ -473,7 +474,8 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of ``_predicted_batch`` are validated against
     the computed sequence for every enumerated tuple, and any
-    disagreement aborts the census.
+    disagreement aborts the census.  Raises ValueError unless ``workers``
+    >= 1.
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)
@@ -493,9 +495,11 @@ def census_cached(q: int, workers: int = 1, budget: int = DEFAULT_BUDGET,
                   exhaustive: bool = True) -> CensusReport:
     """Census for GF(q), memoized per field order and route (results are pure).
 
-    The budget is checked on every call, cached or not.
+    The budget and the worker count are checked on every call, cached or
+    not.
     """
     _check_budget(q, exhaustive, budget)
+    usable_workers(workers)
     key = (q, exhaustive)
     if key not in _census_cache:
         _census_cache[key] = g2_census(field_of_order(q), workers=workers,

@@ -90,7 +90,7 @@ class MultiPoly:
                     term *= v**e
                 total += term
             return total
-        total = ctx.zero
+        total = 0  # the field encoding of zero
         for exp, coef in self.terms.items():
             term = ctx.from_int(coef)
             for v, e in zip(vals, exp):

@@ -32,6 +32,7 @@ from ._kernels import (
     power_rank_sequences,
     run_census,
     tally_keys,
+    usable_workers,
 )
 from .errors import TooLarge
 from .fields import FieldCtx
@@ -151,8 +152,9 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     ``DEFAULT_BATCH`` matrices (the work units of ``run_census``), and
     returns the per-partition counts.  With several workers the ranges
     are cut small enough that each worker gets about ``UNITS_PER_WORKER``
-    of them.
-    Raises TooLarge beyond the configured bounds.
+    of them, counting only as many workers as there are usable CPUs.
+    Raises TooLarge beyond the configured bounds, and ValueError unless
+    ``workers`` >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -161,8 +163,9 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     space = ctx.q ** (n * (n - 1) // 2)
     check_budget(space, budget, "matrices")
     step = DEFAULT_BATCH
-    if workers > 1:
-        step = min(step, -(-space // (workers * UNITS_PER_WORKER)))
+    parts = usable_workers(workers)
+    if parts > 1:
+        step = min(step, -(-space // (parts * UNITS_PER_WORKER)))
     ranges = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
     tally = run_census(_census_chunk, (ctx, n), ranges, workers)
     return merge_tallies([tally], lambda key: jordan_type_from_ranks(key[0], n))

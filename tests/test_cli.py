@@ -138,6 +138,22 @@ def test_bad_workers_variable_is_a_usage_error_only_with_workers(
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["typea", "census", "3", "3"],
+                                  ["g2", "census", "5"],
+                                  ["g2", "interpolate"]])
+def test_fewer_than_one_worker_is_a_usage_error(capsys, monkeypatch, argv):
+    for workers in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    monkeypatch.setenv("KIRILLOV_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_g2_census_rejects_small_characteristic(capsys):
     code = main(["g2", "census", "3"])
     err = capsys.readouterr().err

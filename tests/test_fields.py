@@ -40,7 +40,7 @@ def test_extension_field_moduli():
 
 
 def test_field_contexts_pickle_by_value():
-    # the census chunks receive their context through a fork pool
+    # a context pickles by value, so it can cross a process boundary
     import pickle
 
     for q in (7, 49):

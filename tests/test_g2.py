@@ -280,7 +280,11 @@ def test_census_rejects_bad_characteristic_and_budget():
         g2_census(make_prime_field(23), budget=10**6)
 
 
-def test_census_worker_determinism():
+def test_census_worker_determinism(monkeypatch):
+    import kirillov._kernels as kernels
+
+    # three CPUs, so that three workers split three ways on fewer cores
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     single = g2_census(make_prime_field(5), workers=1)
     for workers in (2, 3):
         split = g2_census(make_prime_field(5), workers=workers)

@@ -1,5 +1,9 @@
+import multiprocessing as mp
+import os
 import random
+import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from kirillov._kernels import (
     encode_sequences,
     power_rank_sequences,
     rank_batch,
+    run_census,
 )
 from kirillov.fields import (
     FieldCtx,
@@ -397,3 +402,177 @@ def test_decode_mixed_radix_from_a_nonzero_start_across_a_carry():
         expected.append(row[::-1])
     assert digits.tolist() == expected
     assert expected[4] == [0, 6, 6, 6] and expected[5] == [1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the census engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that two workers fork one child on any machine."""
+    import kirillov._kernels as kernels
+
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    yield
+    assert mp.active_children() == []
+
+
+def _pid_chunk(share: list) -> dict:
+    return {os.getpid(): len(share)}
+
+
+def _exit_in_child(caller: int, share: list) -> dict:
+    if os.getpid() != caller:
+        os._exit(3)
+    return {}
+
+
+def _raise_in_caller(caller: int, share: list) -> dict:
+    if os.getpid() == caller:
+        raise ValueError("the caller's share failed")
+    time.sleep(60)
+    return {}
+
+
+def test_census_runs_one_share_in_the_caller_and_one_in_a_child(two_cpus):
+    tally = run_census(_pid_chunk, (), list(range(5)), workers=2)
+    assert tally.pop(os.getpid()) == 3  # units 0, 2 and 4
+    assert list(tally.values()) == [2]
+
+
+def _large_chunk(share: list) -> dict:
+    return {(unit, key): 1 for unit in share for key in range(50_000)}
+
+
+def test_census_receives_a_tally_larger_than_the_pipe_buffer(two_cpus):
+    # about 0.5 MB pickled, so the child blocks in send until it is read
+    tally = run_census(_large_chunk, (), [0, 1], workers=2)
+    assert len(tally) == 100_000 and set(tally.values()) == {1}
+
+
+def test_census_reraises_a_predicate_mismatch_from_the_child(two_cpus,
+                                                             monkeypatch):
+    import kirillov.g2 as g2mod
+    from kirillov.errors import PredicateMismatch
+    from kirillov.g2 import g2_census
+
+    original = g2mod._predicted_batch
+    caller = os.getpid()
+
+    def wrong_in_a_child(t, a, f, b, c, d, e):
+        out = original(t, a, f, b, c, d, e)
+        if os.getpid() != caller:
+            out[-1, 0] = 0
+        return out
+
+    # patched before the fork, so the child inherits the wrong predicate;
+    # its weighted share is the slices (0, 1) and (1, 1)
+    monkeypatch.setattr(g2mod, "_predicted_batch", wrong_in_a_child)
+    with pytest.raises(PredicateMismatch, match=r"=\(0,4,4,4,4,1\)"):
+        g2_census(make_prime_field(5), workers=2, exhaustive=False)
+
+
+def test_census_names_the_exit_code_of_a_child_that_dies(two_cpus):
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_census(_exit_in_child, (os.getpid(),), [0, 1], workers=2)
+
+
+def test_census_reaps_the_children_when_the_callers_share_raises(two_cpus):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        run_census(_raise_in_caller, (os.getpid(),), [0, 1], workers=2)
+    # the sleeping child was terminated, not waited for
+    assert time.perf_counter() - start < 30
+
+
+class _InlineFork:
+    """Stands in for the fork context: a child runs its target in the
+    calling process when it starts, and the children are counted."""
+
+    def __init__(self):
+        self.children = 0
+
+    def Pipe(self, duplex=True):
+        end = _InlineEnd()
+        return end, end
+
+    def Process(self, target, args, daemon):
+        def start():
+            self.children += 1
+            target(*args)
+
+        return SimpleNamespace(start=start, is_alive=lambda: False,
+                               join=lambda: None)
+
+
+class _InlineEnd:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+    def recv(self):
+        return self.sent.pop(0)
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_censuses_fork_at_most_one_child_per_other_usable_cpu(monkeypatch,
+                                                              cpus):
+    import kirillov._kernels as kernels
+    import kirillov.typea as typea
+    from kirillov.g2 import g2_census
+    from kirillov.typea import brute_force_census
+
+    if cpus is not None:
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    usable = kernels._usable_cpus()
+    fork = _InlineFork()
+    monkeypatch.setattr(kernels, "mp",
+                        SimpleNamespace(get_context=lambda method: fork))
+    units = []
+
+    def capture(chunk, head, share, workers):
+        units.append(len(share))
+        return run_census(chunk, head, share, workers)
+
+    monkeypatch.setattr(typea, "run_census", capture)
+    ctx = make_prime_field(3)
+    single = brute_force_census(4, ctx, workers=1)
+    assert fork.children == 0
+    assert brute_force_census(4, ctx, workers=1000) == single
+    assert fork.children == usable - 1
+    # the ranges are cut for the usable workers, not for 1000 of them
+    assert brute_force_census(4, ctx, workers=usable) == single
+    assert units[1] == units[2] < 3**6
+
+    fork.children = 0
+    ctx = make_prime_field(7)
+    assert g2_census(ctx, workers=1000).cases == g2_census(ctx).cases
+    assert fork.children == usable - 1
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_censuses_reject_fewer_than_one_worker(workers):
+    from kirillov.g2 import census_cached, g2_census
+    from kirillov.typea import brute_force_census
+
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_census(_pid_chunk, (), [0, 1], workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        g2_census(make_prime_field(5), workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        census_cached(5, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        brute_force_census(3, make_prime_field(3), workers=workers)

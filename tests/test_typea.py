@@ -99,7 +99,11 @@ def test_census_matches_recursion_small_grid():
             assert counts == expected, (n, q)
 
 
-def test_census_worker_split_deterministic():
+def test_census_worker_split_deterministic(monkeypatch):
+    import kirillov._kernels as kernels
+
+    # three CPUs, so that three workers split three ways on fewer cores
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     ctx = field_of_order(3)
     single = brute_force_census(5, ctx, workers=1)
     # 3^10 matrices in 16 and 24 index ranges, dealt round-robin
