@@ -31,8 +31,8 @@ which the kernels turn back without a copy.
 Both censuses run on ``run_census``: a family supplies a chunk function
 and its work units, and the engine deals them into shares and adds the
 tallies.  With several shares the calling process computes the first
-itself and forks one child per other share, so two workers cost one
-fork, not a pool of two.  Every call forks afresh and keeps no pool: a
+itself and forks one child per other share, so two workers cost a
+single fork.  Every call forks afresh and keeps no pool: a
 process forked earlier would run the code as it was at that fork, and so
 miss the wrappers a profiler installs between calls (or a test's
 monkeypatches), and it could outlive the caller's run.  The number of

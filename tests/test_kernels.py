@@ -1,6 +1,7 @@
 import multiprocessing as mp
 import os
 import random
+import signal
 import time
 from functools import lru_cache
 from types import SimpleNamespace
@@ -411,11 +412,22 @@ def test_decode_mixed_radix_from_a_nonzero_start_across_a_carry():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two usable CPUs, so that two workers fork one child on any machine."""
+    """Two usable CPUs, so that two workers fork one child on any machine.
+    A census that hangs fails after a minute, and no child may outlive
+    the test."""
     import kirillov._kernels as kernels
 
+    def hung(signum, frame):
+        raise TimeoutError("the census did not return within 60 s")
+
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
-    yield
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert mp.active_children() == []
 
 
