@@ -9,12 +9,13 @@ of the irreducible factors modulo a prime, and a certificate-producing
 irreducibility test over Z[q] (mod-p certificates, factor-degree pruning
 across primes, and a complete Kronecker search as the fallback).
 
-The factor degrees modulo p come from a squarefree decomposition and a
-distinct-degree factorization of each squarefree part.  The latter
-applies Frobenius h -> h^p, which is GF(p)-linear, as a table: the rows
-x^(i p) mod f are built once per (f, p) and packed one polynomial per
-int (Kronecker substitution), so each degree step is a linear
-combination of big ints instead of a square-and-multiply.
+The factor degrees modulo p come from one distinct-degree factorization
+that splits off each factor once per multiplicity, so it needs no
+squarefree decomposition first.  It applies Frobenius h -> h^p, which is
+GF(p)-linear, as a table: the rows x^(i p) mod f are built once per
+(f, p) and packed one polynomial per int (Kronecker substitution), so
+each degree step is a linear combination of big ints instead of a
+square-and-multiply.
 """
 
 from __future__ import annotations
@@ -304,38 +305,6 @@ def _pgcd(a, b, p):
     return _pmonic(a, p)
 
 
-def _pderiv(a, p):
-    return _ptrim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _squarefree_parts(f, p):
-    """Decompose monic f over GF(p) into [(g, m)] with f = prod g^m, g squarefree."""
-    out = []
-    d = _pderiv(f, p)
-    if not d:
-        # f = h(x^p) = (p-th root of f)^p since Frobenius fixes GF(p)
-        root = _ptrim([f[i] for i in range(0, len(f), p)])
-        for g, m in _squarefree_parts(root, p):
-            out.append((g, m * p))
-        return out
-    c = _pgcd(f, d, p)
-    w = _pdivmod(f, c, p)[0]
-    i = 1
-    while len(w) > 1:
-        y = _pgcd(w, c, p)
-        z = _pdivmod(w, y, p)[0]
-        if len(z) > 1:
-            out.append((z, i))
-        w = y
-        c = _pdivmod(c, y, p)[0]
-        i += 1
-    if len(c) > 1:
-        # what is left are the factors whose multiplicity p divides: c'
-        # vanishes, so the call takes the p-th root and scales by p itself
-        out.extend(_squarefree_parts(c, p))
-    return out
-
-
 class _FrobeniusTable:
     """Frobenius h -> h^p modulo monic f over GF(p), as a linear map.
 
@@ -399,16 +368,23 @@ class _FrobeniusTable:
         return _ptrim(self.unpack(acc, self.n))
 
 
-def _ddf_squarefree(f, p):
-    """Degrees of the irreducible factors of squarefree monic f over GF(p).
+def ddf_degrees(f: IntPoly, p: int) -> list[int]:
+    """Degrees (with multiplicity) of the irreducible factors of f mod p.
 
-    Step d computes h = x^(p^d) mod f as a linear combination of the
-    packed rows x^(i p) mod f, built once per (f, p), and splits off
-    gcd(h - x, g) from the unsplit part g.  h stays reduced modulo f, not
-    g: g divides f, so the gcd is unchanged.
+    One distinct-degree loop over g, the monic reduction of f mod p.  Step
+    d computes h = x^(p^d) mod f as a linear combination of the packed
+    rows x^(i p) mod f, built once per (f, p), and takes gd = gcd(h - x, g):
+    the distinct factors of degree d left in g.  Dividing g by gd and
+    taking gd = gcd(gd, g) until it is 1 splits each of them off once per
+    multiplicity.  h stays reduced modulo f, not g: g divides f, so the
+    gcd is unchanged.  Once 2d > deg g, every factor of degree below d is
+    gone with its multiplicity, so g is one irreducible factor.
     """
+    if f.leading % p == 0:
+        raise BadPrime(f"{p} divides the leading coefficient {f.leading}")
+    fbar = _pmonic(_ptrim([c % p for c in f.coeffs]), p)
     degrees = []
-    g = list(f)
+    g = fbar
     h = [0, 1]  # the polynomial x
     frob = None
     d = 0
@@ -418,27 +394,17 @@ def _ddf_squarefree(f, p):
             degrees.append(len(g) - 1)
             break
         if frob is None:
-            frob = _FrobeniusTable(f, p)
+            frob = _FrobeniusTable(fbar, p)
         h = frob.frobenius(h)
         diff = list(h)
         while len(diff) < 2:
             diff.append(0)
         diff[1] = (diff[1] - 1) % p
         gd = _pgcd(_ptrim(diff), g, p)
-        if len(gd) - 1 > 0:
+        while len(gd) - 1 > 0:
             degrees.extend([d] * ((len(gd) - 1) // d))
             g = _pdivmod(g, gd, p)[0]
-    return degrees
-
-
-def ddf_degrees(f: IntPoly, p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of f mod p."""
-    if f.leading % p == 0:
-        raise BadPrime(f"{p} divides the leading coefficient {f.leading}")
-    fbar = _pmonic(_ptrim([c % p for c in f.coeffs]), p)
-    degrees = []
-    for g, m in _squarefree_parts(fbar, p):
-        degrees.extend(_ddf_squarefree(g, p) * m)
+            gd = _pgcd(gd, g, p)
     return sorted(degrees)
 
 

@@ -59,32 +59,54 @@ READ_ONLY_OUTSIDE = {
 }
 
 
-def definitions(source: str) -> set[str]:
-    """Names of the functions, methods and classes ``source`` defines,
-    dunders excepted."""
-    return {node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+def definitions(source: str) -> tuple[set[str], set[str]]:
+    """Names of the methods, and of the other functions and classes,
+    that ``source`` defines, dunders excepted."""
+    methods, others = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+                    and not (child.name.startswith("__")
+                             and child.name.endswith("__"))):
+                is_method = (isinstance(node, ast.ClassDef)
+                             and not isinstance(child, ast.ClassDef))
+                (methods if is_method else others).add(child.name)
+    return methods, others
 
 
-def reads(source: str) -> set[str]:
-    """Names ``source`` reads: loaded names, loaded attributes and string
-    constants (the benchmark's tracer names what it wraps by string).
+def reads(source: str) -> tuple[set[str], set[str]]:
+    """What ``source`` reads: the loaded bare names, and the loaded
+    attributes with the string constants (the benchmark's tracer names
+    what it wraps by string).
 
-    Names, not bindings: a method counts as read when any attribute of
-    that name is loaded, so ``FieldCtx.mul`` is kept alive by
-    ``FieldTables.mul`` calls too.
+    A method is read only through the second set, so a local or builtin
+    of the same name does not keep it alive.  Attributes still match by
+    name: ``FieldCtx.mul`` is kept alive by ``FieldTables.mul`` calls too.
     """
-    out = set()
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            attrs.add(node.value)
+    return names, attrs
+
+
+def unread(sources, readers) -> list[str]:
+    """Definitions of ``sources`` that none of ``readers`` reads."""
+    methods, others, names, attrs = set(), set(), set(), set()
+    for source in sources:
+        m, o = definitions(source)
+        methods |= m
+        others |= o
+    for source in readers:
+        n, a = reads(source)
+        names |= n
+        attrs |= a
+    return sorted((methods - attrs) | (others - names - attrs))
 
 
 def test_unread_definitions_are_found():
@@ -94,16 +116,24 @@ def test_unread_definitions_are_found():
               "def helper():\n    return K().used()\n"
               "def patched():\n    pass\n"
               "TARGETS = ('patched',)\n")
-    assert sorted(definitions(source) - reads(source)) == ["helper", "unused"]
+    assert unread([source], [source]) == ["helper", "unused"]
+
+
+def test_a_same_named_local_does_not_read_a_method():
+    source = ("class K:\n    def zero(self):\n        return 0\n"
+              "    def pow(self):\n        return 1\n"
+              "def f():\n    zero = K()\n    return zero, pow(2, 3)\n"
+              "f()\n")
+    assert unread([source], [source]) == ["pow", "zero"]
+    reader = "def g(k):\n    return k.zero()\n"
+    assert unread([source], [source, reader]) == ["pow"]
 
 
 def test_every_definition_is_read_by_the_package_or_the_benchmark():
-    read = set()
-    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
-        read |= reads(path.read_text(encoding="utf-8"))
-    defined = set()
-    for path in MODULES:
-        defined |= definitions(path.read_text(encoding="utf-8"))
-    assert sorted(defined - read - set(READ_ONLY_OUTSIDE)) == []
+    package = [path.read_text(encoding="utf-8") for path in MODULES]
+    bench = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    unread_anywhere = set(unread(package, package + bench))
+    assert sorted(unread_anywhere - set(READ_ONLY_OUTSIDE)) == []
     # every entry still names a definition that nothing else reads
-    assert sorted(set(READ_ONLY_OUTSIDE) - (defined - read)) == []
+    assert sorted(set(READ_ONLY_OUTSIDE) - unread_anywhere) == []

@@ -20,7 +20,6 @@ from kirillov.intpoly import (
     _pmonic,
     _pmul,
     _ptrim,
-    _squarefree_parts,
     ddf_degrees,
     irreducibility,
     poly_interpolate,
@@ -162,11 +161,11 @@ def test_ddf_multiplicities():
     assert ddf_degrees(sq * sq, 3) == [2, 2]
     # q^5 - q mod 5 splits into all five linear factors
     assert ddf_degrees(IntPoly((0, -1, 0, 0, 0, 1)), 5) == [1] * 5
-    # (q+1)^5 mod 5 = q^5 + 1: derivative vanishes, handled via 5th root
+    # (q+1)^5 mod 5 = q^5 + 1: one linear factor, split off five times
     fifth = IntPoly((1, 1)) ** 5
     assert ddf_degrees(fifth, 5) == [1] * 5
-    # q^5 (q+1) mod 5: the q^5 is left over after the loop over
-    # multiplicities prime to 5, and counts five times, not 25
+    # q^5 (q+1) mod 5: q splits off five times and q+1 once, so the
+    # p-th power counts five times, not 25
     assert ddf_degrees(IntPoly((0, 0, 0, 0, 0, 1, 1)), 5) == [1] * 6
     assert ddf_degrees(IntPoly((1, 1)) ** 7 * IntPoly((1, 0, 1)), 7) == \
         [1] * 7 + [2]
@@ -175,6 +174,11 @@ def test_ddf_multiplicities():
 def test_ddf_bad_prime():
     with pytest.raises(BadPrime):
         ddf_degrees(IntPoly((1, 0, 5)), 5)
+
+
+def test_ddf_of_a_nonzero_constant_is_empty():
+    assert ddf_degrees(IntPoly((3,)), 5) == []
+    assert ddf_degrees(IntPoly((1,)), 2) == []
 
 
 def test_ddf_total_degree_preserved():
@@ -199,11 +203,14 @@ def _ppowmod(base, e, mod, p):
     return result
 
 
-def _ddf_squarefree_by_powering(f, p):
+def _ddf_by_powering(poly, p):
     # each degree step raises h to the p-th power mod g by square and
-    # multiply, with h reduced modulo the shrinking g
+    # multiply, then splits gcd(h - x, g) off g until it is 1, reducing h
+    # modulo the shrinking g after every split: an irreducible factor of
+    # degree d divides h - x, so it is in every gcd until g has lost all
+    # of its copies
+    g = _pmonic(_ptrim([c % p for c in poly.coeffs]), p)
     degrees = []
-    g = list(f)
     h = [0, 1]
     d = 0
     while len(g) - 1 > 0:
@@ -212,21 +219,15 @@ def _ddf_squarefree_by_powering(f, p):
             degrees.append(len(g) - 1)
             break
         h = _ppowmod(h, p, g, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        gd = _pgcd(_ptrim(diff), g, p)
-        if len(gd) - 1 > 0:
+        while True:
+            diff = list(h) + [0] * max(0, 2 - len(h))
+            diff[1] = (diff[1] - 1) % p
+            gd = _pgcd(_ptrim(diff), g, p)
+            if len(gd) - 1 == 0:
+                break
             degrees.extend([d] * ((len(gd) - 1) // d))
             g = _pdivmod(g, gd, p)[0]
             h = _pdivmod(h, g, p)[1]
-    return degrees
-
-
-def _ddf_by_powering(poly, p):
-    fbar = _pmonic(_ptrim([c % p for c in poly.coeffs]), p)
-    degrees = []
-    for g, m in _squarefree_parts(fbar, p):
-        degrees.extend(_ddf_squarefree_by_powering(g, p) * m)
     return sorted(degrees)
 
 
@@ -267,8 +268,8 @@ def _naive_divmod(a, monic, p):
 def _ddf_cases(draw, primes=(5, 7, 37, 8761), max_degree=30):
     """A prime and a polynomial of degree <= max_degree with leading
     coefficient prime to it: dense, or a product of random factors with
-    multiplicities, optionally times a p-th power g^p, so the squarefree
-    decomposition meets repeated factors and a vanishing derivative."""
+    multiplicities, optionally times a p-th power g^p, so the degree loop
+    splits off repeated factors, p-th powers among them."""
     p = draw(st.sampled_from(primes))
     residues = st.integers(0, p - 1)
     lead = draw(st.integers(1, p - 1))
@@ -308,12 +309,15 @@ def test_ddf_matches_factoring_by_trial_division(case):
     assert ddf_degrees(poly, p) == _factor_degrees_by_trial_division(poly, p)
 
 
-def test_ddf_splits_every_monic_polynomial_of_low_degree_mod_5():
-    for deg in (2, 3, 4):
-        for tail in itertools.product(range(5), repeat=deg):
+# GF(8) and GF(9) take their moduli from characteristics 2 and 3, and
+# derivatives vanish most often there
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5), (5, 4)])
+def test_ddf_splits_every_monic_polynomial_of_low_degree(p, max_degree):
+    for deg in range(max_degree + 1):
+        for tail in itertools.product(range(p), repeat=deg):
             poly = IntPoly(list(tail) + [1])
-            assert ddf_degrees(poly, 5) == \
-                _factor_degrees_by_trial_division(poly, 5), poly
+            assert ddf_degrees(poly, p) == \
+                _factor_degrees_by_trial_division(poly, p), poly
 
 
 @pytest.mark.parametrize("p", [2, 5, 8761, 2**31 - 1])
