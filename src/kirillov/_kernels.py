@@ -28,6 +28,20 @@ matrices.  On 6,881 matrices of 5 x 5 residues mod 7 the update
 assemble (n, n, B) arrays and pass their (B, n, n) transposed views,
 which the kernels turn back without a copy.
 
+The index bookkeeping around the kernels avoids per-element division and
+scatter.  Dividing every index once per digit made ``decode_mixed_radix``
+0.031 s of a 0.19 s traced pass of the n = 4 type-A census over GF(8)
+and GF(9); writing each digit column from its periodic pattern cut that
+to 0.006 s (1.1 ms to 0.1 ms for 32,768 indices of 6 digits).  On
+32,768 matrices, clearing the pivots from the free mask by a fancy-index
+read-modify-write took 0.50 ms per column, and a broadcast comparison
+with the pivot rows 0.08 ms.  Writing the ranks of the single Jordan
+blocks of 32,768 matrices (n = 4, GF(9)) through a boolean mask took
+0.75 ms, and a broadcast product 0.04 ms (2-vCPU Xeon, numpy 2.4).  The
+pivot values are still read by a fancy index: taking them with the flat
+``take`` that fetches the pivot rows saved 0.1 ms per column on its own,
+but nothing measurable over whole censuses.
+
 Both censuses run on ``run_census``: a family supplies a chunk function
 and its work units, and the engine deals them into shares and adds the
 tallies.  With several shares the calling process computes the first
@@ -91,12 +105,44 @@ def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
     Returns a (stop - start, width) array: the transpose of the batch-last
     (width, stop - start) array the digits are written into, so that each
     digit column is one contiguous row of memory.
+
+    Nothing is divided per index.  The digit of weight w = radix^j is
+    k % radix across the block of indices k*w .. k*w + w - 1, so each
+    column repeats a pattern of period radix * w.  Where whole periods fit
+    in the range, the pattern is built once and copied over them;
+    otherwise the range touches at most count / w + 2 blocks, and the
+    column repeats each block's digit over the part of the block inside
+    the range.  Work and memory stay O(count * width) however large
+    radix**width is.  Raises ValueError unless radix >= 2, width >= 0 and
+    0 <= start <= stop <= radix**width.
     """
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((width, stop - start), dtype=dtype)
+    if radix < 2 or width < 0 or not 0 <= start <= stop <= radix**width:
+        raise ValueError(f"no range {start}..{stop} of {width} digits in "
+                         f"radix {radix}")
+    count = stop - start
+    digits = np.empty((width, count), dtype=dtype)
+    weight = 1
     for pos in range(width - 1, -1, -1):
-        digits[pos] = idx % radix
-        idx //= radix
+        col = digits[pos]
+        period = radix * weight
+        if period <= count:
+            pattern = np.arange(radix, dtype=dtype).repeat(weight)
+            off = start % period
+            head = min(period - off, count) if off else 0
+            body = head + (count - head) // period * period
+            col[:head] = pattern[off:off + head]
+            col[head:body].reshape(-1, period)[...] = pattern
+            col[body:] = pattern[:count - body]
+        elif count:
+            # blocks first..last; all but the end ones lie inside the
+            # range, which then holds more than weight indices
+            first, last = start // weight, (stop - 1) // weight
+            lengths = np.full(last - first + 1, min(weight, count))
+            lengths[0] = min((first + 1) * weight, stop) - start
+            lengths[-1] = stop - max(last * weight, start)
+            blocks = (first % radix + np.arange(lengths.size)) % radix
+            col[:] = blocks.repeat(lengths)
+        weight *= radix
     return digits.T
 
 
@@ -155,6 +201,7 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     np.maximum.at(reach, lead, np.arange(1, nrows + 1))
     reach = np.maximum.accumulate(reach)
     free = np.ones((nrows, bsize), dtype=bool)
+    rows = np.arange(nrows)[:, None]
     bidx = np.arange(bsize)
     flat = a.reshape(-1)
     for col in range(ncols):
@@ -171,7 +218,7 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
         # rows, so those keep their echelon entries (the ranks never read
         # them again); a matrix without a pivot here is zero on its free
         # rows, so its factors are all zero
-        free[piv, bidx] &= ~has
+        free[:hi] &= (rows[:hi] != piv) | ~has
         f = np.where(free[:hi], colv, 0)
         tail = a[:hi, col + 1:]
         # the pivot rows right of col, batch-last: entry (j, b) is
@@ -248,13 +295,12 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     else:
         _check_indices_fit(t.q, mats.dtype)
     x = mats.transpose(1, 2, 0)
-    seqs = np.zeros((n - 1, bsize), dtype=mats.dtype)
     regular = np.ones(bsize, dtype=bool)
     for i in range(n - 1):
         regular &= x[i, i + 1] != 0
-    seqs[:, regular] = np.arange(n - 1, 0, -1)[:, None]
+    seqs = np.arange(n - 1, 0, -1, dtype=mats.dtype)[:, None] * regular
     live = np.flatnonzero(~regular)
-    base = power = x if live.size == bsize else x[:, :, live]
+    base = power = x if live.size == bsize else x.take(live, axis=2)
     zero = False
     for i in range(1, n):
         if zero:
