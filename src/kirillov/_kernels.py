@@ -128,9 +128,9 @@ def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
         if period <= count:
             pattern = np.arange(radix, dtype=dtype).repeat(weight)
             off = start % period
-            head = min(period - off, count) if off else 0
+            head = period - off
             body = head + (count - head) // period * period
-            col[:head] = pattern[off:off + head]
+            col[:head] = pattern[off:]
             col[head:body].reshape(-1, period)[...] = pattern
             col[body:] = pattern[:count - body]
         elif count:

@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import time
+import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -263,6 +264,54 @@ def test_power_ranks_agree_with_exact_elimination(q):
     assert (4, 3, 2, 1) in kinds and (0, 0, 0, 0) in kinds and len(kinds) > 4
 
 
+@pytest.mark.parametrize("q", [7, 9])
+def test_power_ranks_with_no_all_or_some_single_jordan_blocks(q):
+    # the ranks of single Jordan blocks (no superdiagonal zero) are
+    # written without elimination, those of the other matrices after it;
+    # batches with none, only and some of the former, down to n = 2
+    ctx = field_of_order(q)
+    rng = random.Random(q)
+    for n in (2, 3, 5):
+        tables = FieldTables(ctx, n)
+        regular = [[[rng.randrange(1, q) if j == i + 1 else
+                     rng.randrange(q) if j > i else 0 for j in range(n)]
+                    for i in range(n)] for _ in range(20)]
+        other = []
+        for row in regular:
+            row = [r[:] for r in row]
+            gap = rng.randrange(n - 1)
+            row[gap][gap + 1] = 0
+            other.append(row)
+        block = tuple(range(n - 1, 0, -1))
+        assert all(rank_sequence(FMatrix(ctx, row)) == block
+                   for row in regular)
+        for rows in (regular, other, regular[:7] + other[:9] + regular[7:]):
+            seqs = power_rank_sequences(np.array(rows, dtype=tables.dtype),
+                                        tables)
+            assert seqs.shape == (len(rows), n - 1)
+            assert seqs.dtype == tables.dtype
+            assert [tuple(int(x) for x in seq) for seq in seqs] == \
+                [rank_sequence(FMatrix(ctx, row)) for row in rows]
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_rank_batch_with_a_column_that_has_a_pivot_in_some_matrices_only(q):
+    # column 0 has a pivot in the first two matrices and none in the
+    # others, whose first free row must stay free for a later column
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, 4)
+    rows = [
+        [[1, 2, 3], [4, 5, 6], [0, 1, 1]],
+        [[0, 0, 0], [3, 1, 0], [2, 0, 1]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ]
+    ranks = rank_batch(np.array(rows, dtype=tables.dtype), tables)
+    assert [int(r) for r in ranks] == [_padded_rank(ctx, m) for m in rows]
+    assert [int(r) for r in ranks][2:] == [1, 2, 0]
+
+
 @pytest.mark.parametrize("p, k", FIELDS)
 @given(n=st.integers(2, 6), size=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1))
@@ -389,20 +438,129 @@ def test_kernels_give_equal_results_on_every_layout_and_keep_the_input(q):
         assert np.array_equal(mats, saved), name
 
 
+def _division_decode(start: int, stop: int, radix: int, width: int):
+    """The digits of start..stop-1 divided out of every index, one digit at
+    a time: the slow oracle of ``decode_mixed_radix``."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((width, stop - start), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        digits[pos] = idx % radix
+        idx //= radix
+    return digits.T
+
+
 def test_decode_mixed_radix_from_a_nonzero_start_across_a_carry():
     radix, width = 7, 4
     start, stop = 7**3 - 5, 2 * 7**3 + 9  # the third digit carries into the top
     digits = decode_mixed_radix(start, stop, radix, width, np.int32)
     assert len(digits) == stop - start
-    expected = []
-    for x in range(start, stop):
-        row = []
-        for _ in range(width):
-            x, digit = divmod(x, radix)
-            row.append(digit)
-        expected.append(row[::-1])
+    expected = _division_decode(start, stop, radix, width).tolist()
     assert digits.tolist() == expected
     assert expected[4] == [0, 6, 6, 6] and expected[5] == [1, 0, 0, 0]
+
+
+@given(data=st.data(), radix=st.integers(2, 49), width=st.integers(0, 6))
+def test_decode_mixed_radix_matches_the_division_decode(data, radix, width):
+    # from any start, ranges from empty to several periods of the low
+    # digits (a period of the digit of weight w is radix * w indices)
+    space = radix**width
+    start = data.draw(st.integers(0, space), label="start")
+    stop = start + data.draw(st.integers(0, min(space - start, 3000)),
+                             label="count")
+    digits = decode_mixed_radix(start, stop, radix, width, np.int32)
+    assert digits.shape == (stop - start, width)
+    assert digits.dtype == np.int32
+    assert np.array_equal(digits, _division_decode(start, stop, radix, width))
+
+
+@pytest.mark.parametrize("start, stop, radix, width", [
+    (0, 3 * 49**2 + 5, 49, 3),      # three whole periods of the middle digit
+    (49**2 - 1, 49**3, 49, 3),      # from a carry to the top of the space
+    (0, 2**6, 2, 6),                # the whole space
+    (0, 1, 7, 0),                   # no digits: the space holds one index
+    (7**4, 7**4, 7, 4),             # empty, at the top
+])
+def test_decode_mixed_radix_at_the_edges_of_its_space(start, stop, radix,
+                                                      width):
+    digits = decode_mixed_radix(start, stop, radix, width, np.int64)
+    assert digits.shape == (stop - start, width)
+    assert np.array_equal(digits, _division_decode(start, stop, radix, width))
+
+
+def test_decode_mixed_radix_allocates_per_index_not_per_period():
+    # one index at the top of 49^6: a decode that built whole periods of
+    # the top digit would allocate 49^6 entries; numpy reports its
+    # buffers to tracemalloc
+    top = 49**6
+    tracemalloc.start()
+    try:
+        digits = decode_mixed_radix(top - 1, top, 49, 6, np.int64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digits.tolist() == [[48] * 6]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("start, stop, radix, width", [
+    (0, 7**4 + 1, 7, 4),    # past the top, which would wrap the top digit
+    (7**4, 7**4 + 1, 7, 4),
+    (0, 2, 7, 0),           # no digits: only index 0
+    (-1, 3, 7, 4),
+    (5, 4, 7, 4),
+    (0, 1, 1, 3),
+    (0, 0, 0, 3),
+    (0, 0, 7, -1),
+])
+def test_decode_mixed_radix_refuses_a_range_outside_its_space(start, stop,
+                                                              radix, width):
+    with pytest.raises(ValueError, match="radix"):
+        decode_mixed_radix(start, stop, radix, width, np.int32)
+
+
+def _tilings(calls: list) -> int:
+    """How many times the recorded decode ranges, in the order they were
+    decoded, cover [0, space) exactly; fails on a range that leaves a gap,
+    overlaps or leaves the space."""
+    tilings, covered = 0, 0
+    for start, stop, space in calls:
+        assert start == covered and start < stop <= space
+        covered = stop % space
+        tilings += stop == space
+    assert covered == 0
+    return tilings
+
+
+def test_censuses_decode_their_spaces_exactly(monkeypatch):
+    # both census callers decode ranges inside radix**width, which
+    # together cover their space once per census (type A) or per slice
+    # (g2); every unit runs in this process, with the ranges a
+    # two-worker census cuts too
+    import kirillov._kernels as kernels
+    import kirillov.g2 as g2
+    import kirillov.typea as typea
+
+    calls = []
+
+    def recording(start, stop, radix, width, dtype):
+        calls.append((start, stop, radix**width))
+        return decode_mixed_radix(start, stop, radix, width, dtype)
+
+    def in_process(chunk, head, units, workers):
+        return chunk(*head, units)
+
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    for module in (g2, typea):
+        monkeypatch.setattr(module, "decode_mixed_radix", recording)
+        monkeypatch.setattr(module, "run_census", in_process)
+    for n, q, workers, units in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 17)):
+        calls.clear()
+        typea.brute_force_census(n, field_of_order(q), workers=workers)
+        assert _tilings(calls) == 1 and len(calls) == units
+    for exhaustive, slices in ((True, 25), (False, 4)):
+        calls.clear()
+        g2.g2_census(field_of_order(5), exhaustive=exhaustive)
+        assert _tilings(calls) == slices
 
 
 # ---------------------------------------------------------------------------
