@@ -11,11 +11,13 @@ across primes, and a complete Kronecker search as the fallback).
 
 The factor degrees modulo p come from one distinct-degree factorization
 that splits off each factor once per multiplicity, so it needs no
-squarefree decomposition first.  It applies Frobenius h -> h^p, which is
-GF(p)-linear, as a table: the rows x^(i p) mod f are built once per
-(f, p) and packed one polynomial per int (Kronecker substitution), so
-each degree step is a linear combination of big ints instead of a
-square-and-multiply.
+squarefree decomposition first.  It runs entirely on packed ints
+(Kronecker substitution, one polynomial per int): one multiply, shift and
+mask reduces every coefficient mod p at once, products are reduced mod f
+by Barrett's method, and Euclid's algorithm subtracts whole multiples of
+the divisor.  Frobenius h -> h^p, which is GF(p)-linear, is a table: the
+rows x^(i p) mod f are built once per (f, p), so each degree step is a
+linear combination of big ints instead of a square-and-multiply.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def _divide_by_q_minus_1(p: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic of polynomials modulo a prime (dense int lists, lowest first)
+# arithmetic of polynomials modulo a prime (dense int lists, lowest first,
+# and the packed ints of the distinct-degree factorization)
 # ---------------------------------------------------------------------------
 
 
@@ -297,51 +300,72 @@ def _pmonic(a, p):
     return [(c * inv) % p for c in a]
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    return _pmonic(a, p)
+class _PackedRing:
+    """GF(p)[x] arithmetic for one monic f of degree n >= 2, on packed ints.
 
+    A polynomial is one int (Kronecker substitution): coefficient i sits in
+    slot i, bits [i w, (i + 1) w).  Sums and products act on every slot at
+    once and leave residue sums in the slots; `reduce` then takes every
+    slot mod p with one multiply, shift and mask (Granlund and Montgomery's
+    division by an invariant integer, applied to all slots together):
 
-class _FrobeniusTable:
-    """Frobenius h -> h^p modulo monic f over GF(p), as a linear map.
+        v - p * (((v * m) >> s) & M),   m = ceil(2^s / p),  s = a + L,
 
-    Its rows x^(i p) mod f, i < n = deg f >= 2, are the rows of Berlekamp's
-    Q-matrix.  Polynomials of degree < n are Kronecker-packed: coefficient
-    i sits in bits [i w, (i + 1) w) of one int, so a product is one big-int
-    multiply and h^p = sum h_i x^(i p) is n big-int multiply-adds, each
-    unpacked once and reduced mod p.
+    where L is the bit length of p and M keeps the low w - s bits of each
+    of the 2n - 1 slots a product can have.  With m = (2^s + e) / p and
+    0 <= e < p, a slot c < 2^a gives c m / 2^s = c / p + c e / (p 2^s), and
+    the error is below 2^(a - s) = 2^-L < 1/p, too little to reach the next
+    multiple of 1/p: the quotient is floor(c / p) exactly.  The slot holds
+    c m < 2^w, since w is the bit length of (2^a - 1) m, so no product
+    spills into the next slot before the shift; the low s bits it does
+    leave in the slot below are cut off by M.  (m > 2^a, so w >= 2a > s.)
 
-    Every packed sum formed here adds at most n products of two residues
-    in each slot: a product of two packed polynomials has at most n terms
-    per slot, its fold modulo f adds one residue plus n - 1 products, and
-    a Frobenius image sums n rows times the coefficients of h.  All terms
-    are nonnegative, so a slot never exceeds n (p-1)^2, and w is the bit
-    length of that bound: no slot carries into the next before it is
-    unpacked and reduced mod p, for any prime p.
+    a is the bit length of (p-1)(1 + n p), which bounds every slot any
+    operation forms from reduced operands (slots below p).  All terms are
+    nonnegative:
+
+    - a product of two polynomials of degree < n, or a Frobenius image
+      sum h_i x^(i p), adds at most n products of two residues per slot:
+      at most n (p-1)^2;
+    - Barrett's remainder P - quot f adds (n-1) p (p-1), a multiple of p,
+      to each of the low n slots of the reduced P before subtracting
+      quot f, which has at most n - 1 products of residues per slot:
+      at most (p-1) + (n-1) p (p-1);
+    - a Euclid quotient step adds D - c b, with c < p and D holding
+      p (p-1), the least multiple of p that is at least (p-1)^2; a slot
+      takes at most min(deg b, deg a - deg b) + 1 steps before the one
+      reduction per remainder, which is at most n for the operands of
+      `divmod`: at most (p-1) + n p (p-1).
+
+    (p-1)(1 + n p) is the largest of the three, so `reduce` is exact on
+    every slot this class forms, for any prime p.  Reduced ints carry no
+    zero slots on top, so the degree is read off the bit length.
     """
 
     def __init__(self, f, p):
         n = len(f) - 1
         self.p, self.n = p, n
-        self.width = (n * (p - 1) ** 2).bit_length()
-        self.mask = (1 << self.width) - 1
-        # x^j mod f for j < 2n - 1: slot j of a product folds onto these
-        self.fold = [1 << (self.width * j) for j in range(n)]
-        xj = [0] * (n - 1) + [1]
-        for _ in range(n - 1):
-            top = xj[-1]
-            xj = [-top * f[0] % p] + [(c - top * fc) % p
-                                      for c, fc in zip(xj, f[1:n])]
-            self.fold.append(self.pack(xj))
+        a = ((p - 1) * (1 + n * p)).bit_length()
+        self.inv_shift = a + p.bit_length()
+        self.inv_p = -(-(1 << self.inv_shift) // p)
+        w = self.width = ((2**a - 1) * self.inv_p).bit_length()
+        self.mask = (1 << w) - 1
+
+        def ones(slots):  # 1 in each of the low `slots` slots
+            return ((1 << slots * w) - 1) // self.mask
+
+        self.quot_mask = ((1 << w - self.inv_shift) - 1) * ones(2 * n - 1)
+        self.offset = p * (p - 1) * ones(n + 1)  # D, for divisors up to x^n
+        self.barrett_offset = (n - 1) * (self.offset >> w)
+        self.low = (1 << n * w) - 1
+        self.f = self.pack(f)
+        self.mu = self.divmod(1 << (2 * n - 2) * w, self.f)[0]
         # the rows of Berlekamp's Q-matrix, x^(i p) mod f for i < n
-        xp = self.fold[1]
+        x = xp = 1 << w
         for bit in bin(p)[3:]:
             xp = self.mul(xp, xp)
             if bit == "1":
-                xp = self.mul(xp, self.fold[1])
+                xp = self.mul(xp, x)
         self.rows = [1, xp]
         while len(self.rows) < n:
             self.rows.append(self.mul(self.rows[-1], xp))
@@ -352,59 +376,100 @@ class _FrobeniusTable:
             v = (v << self.width) | c
         return v
 
-    def unpack(self, v, count):
-        """The first ``count`` slots of packed ``v``, each reduced mod p."""
-        w, mask, p = self.width, self.mask, self.p
-        return [(v >> (w * i) & mask) % p for i in range(count)]
+    def reduce(self, v):
+        """Every slot of v mod p."""
+        return v - self.p * (v * self.inv_p >> self.inv_shift & self.quot_mask)
+
+    def degree(self, v):
+        """Degree of reduced v, with -1 for zero."""
+        return (v.bit_length() - 1) // self.width
 
     def mul(self, a, b):
-        slots = self.unpack(a * b, 2 * self.n - 1)
-        return self.pack(self.unpack(
-            sum(c * r for c, r in zip(slots, self.fold) if c), self.n))
+        """a b mod f for reduced a, b of degree < n, by Barrett reduction:
+        quot = floor(floor(P / x^n) mu / x^(n-2)) with mu = floor(x^(2n-2)
+        / f) is the exact quotient of P = a b, of degree <= 2n - 2, by f."""
+        n, w = self.n, self.width
+        prod = self.reduce(a * b)
+        quot = self.reduce((prod >> n * w) * self.mu) >> (n - 2) * w
+        return self.reduce(
+            (prod + self.barrett_offset - quot * self.f) & self.low)
+
+    def divmod(self, a, b, quotient=True):
+        """Quotient and remainder of reduced a by reduced b != 0, both of
+        degree <= n, or x^(2n-2) by f for mu (n - 1 steps per slot).  The
+        remainder is reduced; the quotient is left 0 unless asked for.
+
+        Each step adds (D - c b) << pos, with c b congruent to the slot
+        that is now on top, which keeps every slot nonnegative and leaves a
+        multiple of p there.  So the slots above the one a step reads are
+        all multiples of p: they change neither its residue nor, after the
+        final reduction, the remainder, and no later step touches them.
+        """
+        w, p = self.width, self.p
+        db = self.degree(b)
+        inv = pow(b >> db * w, -1, p)
+        offset = self.offset >> (self.n - db) * w
+        quot = 0
+        for pos in range((self.degree(a) - db) * w, -1, -w):
+            c = (a >> pos + db * w) * inv % p
+            if c:
+                a += (offset - c * b) << pos
+                if quotient:
+                    quot |= c << pos
+        return quot, self.reduce(a)
+
+    def gcd(self, a, b):
+        """A gcd of reduced a and b, not made monic."""
+        while b:
+            a, b = b, self.divmod(a, b, quotient=False)[1]
+        return a
 
     def frobenius(self, h):
-        """h^p mod f for h given as residues, as residues (trimmed)."""
-        acc = sum(c * r for c, r in zip(h, self.rows) if c)
-        return _ptrim(self.unpack(acc, self.n))
+        """h^p mod f for reduced h of degree < n: sum h_i x^(i p)."""
+        acc = 0
+        for row in self.rows:
+            c = h & self.mask
+            if c:
+                acc += c * row
+            h >>= self.width
+        return self.reduce(acc)
 
 
 def ddf_degrees(f: IntPoly, p: int) -> list[int]:
     """Degrees (with multiplicity) of the irreducible factors of f mod p.
 
     One distinct-degree loop over g, the monic reduction of f mod p.  Step
-    d computes h = x^(p^d) mod f as a linear combination of the packed
-    rows x^(i p) mod f, built once per (f, p), and takes gd = gcd(h - x, g):
+    d computes h = x^(p^d) mod f as a linear combination of the rows
+    x^(i p) mod f, built once per (f, p), and takes gd = gcd(h - x, g):
     the distinct factors of degree d left in g.  Dividing g by gd and
     taking gd = gcd(gd, g) until it is 1 splits each of them off once per
     multiplicity.  h stays reduced modulo f, not g: g divides f, so the
     gcd is unchanged.  Once 2d > deg g, every factor of degree below d is
-    gone with its multiplicity, so g is one irreducible factor.
+    gone with its multiplicity, so g is one irreducible factor.  Every
+    polynomial is a packed int of `_PackedRing`: products, remainders and
+    gcds reduce all coefficients mod p at once, and the only loops run over
+    the rows of a Frobenius image and the terms of a quotient.
     """
     if f.leading % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient {f.leading}")
     fbar = _pmonic(_ptrim([c % p for c in f.coeffs]), p)
+    if len(fbar) <= 2:
+        return [1] * (len(fbar) - 1)
+    ring = _PackedRing(fbar, p)
+    minus_x = (p - 1) << ring.width
     degrees = []
-    g = fbar
-    h = [0, 1]  # the polynomial x
-    frob = None
-    d = 0
-    while len(g) - 1 > 0:
+    g, h, d = ring.f, 1 << ring.width, 0
+    while (dg := ring.degree(g)) > 0:
         d += 1
-        if 2 * d > len(g) - 1:
-            degrees.append(len(g) - 1)
+        if 2 * d > dg:
+            degrees.append(dg)
             break
-        if frob is None:
-            frob = _FrobeniusTable(fbar, p)
-        h = frob.frobenius(h)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        gd = _pgcd(_ptrim(diff), g, p)
-        while len(gd) - 1 > 0:
-            degrees.extend([d] * ((len(gd) - 1) // d))
-            g = _pdivmod(g, gd, p)[0]
-            gd = _pgcd(gd, g, p)
+        h = ring.frobenius(h)
+        gd = ring.gcd(ring.reduce(h + minus_x), g)
+        while (dd := ring.degree(gd)) > 0:
+            degrees.extend([d] * (dd // d))
+            g = ring.divmod(g, gd)[0]
+            gd = ring.gcd(gd, g)
     return sorted(degrees)
 
 

@@ -14,9 +14,8 @@ from kirillov.intpoly import (
     IntPoly,
     Q,
     Q_MINUS_1,
-    _FrobeniusTable,
+    _PackedRing,
     _pdivmod,
-    _pgcd,
     _pmonic,
     _pmul,
     _ptrim,
@@ -192,6 +191,16 @@ def test_ddf_total_degree_preserved():
 # -- the distinct-degree factorization against slow references -----------
 
 
+def _pgcd(a, b, p):
+    # the list gcd the distinct-degree loop used before it ran on packed
+    # ints, kept as the oracle for the packed remainder sequence
+    a, b = list(a), list(b)
+    while b:
+        _, r = _pdivmod(a, b, p)
+        a, b = b, r
+    return _pmonic(a, p)
+
+
 def _ppowmod(base, e, mod, p):
     result = [1]
     base = _pdivmod(base, mod, p)[1]
@@ -265,7 +274,8 @@ def _naive_divmod(a, monic, p):
 
 
 @st.composite
-def _ddf_cases(draw, primes=(5, 7, 37, 8761), max_degree=30):
+def _ddf_cases(draw, primes=(2, 3, 5, 7, 37, 8761, 2**31 - 1),
+               max_degree=30):
     """A prime and a polynomial of degree <= max_degree with leading
     coefficient prime to it: dense, or a product of random factors with
     multiplicities, optionally times a p-th power g^p, so the degree loop
@@ -320,22 +330,94 @@ def test_ddf_splits_every_monic_polynomial_of_low_degree(p, max_degree):
                 _factor_degrees_by_trial_division(poly, p), poly
 
 
+def _unpack(ring, v):
+    # the coefficients of a packed int with reduced slots, trimmed
+    return [v >> ring.width * i & ring.mask
+            for i in range(ring.degree(v) + 1)]
+
+
 @pytest.mark.parametrize("p", [2, 5, 8761, 2**31 - 1])
 def test_frobenius_table_packing_holds_its_largest_sum(p):
-    # two all-(p-1) operands fill the middle slot of their product with
-    # exactly n (p-1)^2, the bound the slot width is chosen for
     rng = random.Random(p)
     for n in (2, 3, 7, 30):
         f = [rng.randrange(p) for _ in range(n)] + [1]
-        frob = _FrobeniusTable(f, p)
+        ring = _PackedRing(f, p)
+        assert _unpack(ring, ring.mu) == \
+            _pdivmod([0] * (2 * n - 2) + [1], f, p)[0]
+        # two all-(p-1) operands fill the middle slot of their product
+        # with n (p-1)^2
         top = [p - 1] * n
-        got = frob.unpack(frob.mul(frob.pack(top), frob.pack(top)), n)
-        assert _ptrim(got) == _pdivmod(_pmul(top, top, p), f, p)[1]
+        got = ring.mul(ring.pack(top), ring.pack(top))
+        assert _unpack(ring, got) == _pdivmod(_pmul(top, top, p), f, p)[1]
         # and h^p = sum h_i x^(i p) against square and multiply
-        assert frob.frobenius(top) == _ppowmod(top, p, f, p)
+        assert _unpack(ring, ring.frobenius(ring.pack(top))) == \
+            _ppowmod(top, p, f, p)
         for i in (1, n - 1):
-            row = _ptrim(frob.unpack(frob.rows[i], n))
-            assert row == _ppowmod([0] * i + [1], p, f, p)
+            assert _unpack(ring, ring.rows[i]) == \
+                _ppowmod([0] * i + [1], p, f, p)
+        # a divisor of degree about n/2 puts the most quotient steps on
+        # one slot of a degree-n dividend
+        for db in range(n + 1):
+            quot, rem = ring.divmod(ring.pack([p - 1] * (n + 1)),
+                                    ring.pack([p - 1] * (db + 1)))
+            assert [_unpack(ring, quot), _unpack(ring, rem)] == \
+                list(_pdivmod([p - 1] * (n + 1), [p - 1] * (db + 1), p))
+        # the slot reduction at the largest slot it admits, 2^a - 1, and
+        # at the multiples of p next to it, in every slot of a product; a
+        # is the bit length of the largest slot the class forms, derived in
+        # its docstring
+        a = ((p - 1) * (1 + n * p)).bit_length()
+        k = (2**a - 1) // p
+        values = [2**a - 1] + [v for v in (k * p - 1, k * p, k * p + 1)
+                               if v < 2**a]
+        slots = (values * (2 * n))[:2 * n - 1]
+        assert _unpack(ring, ring.reduce(ring.pack(slots))) == \
+            _ptrim([v % p for v in slots])
+
+
+@st.composite
+def _packed_cases(draw):
+    """A prime, a monic f of degree n, two residue lists of length n
+    (factors of a product mod f), a dividend of degree <= n, a divisor of
+    degree <= n with any nonzero leading coefficient, and a cofactor whose
+    product with the divisor has degree <= n."""
+    p = draw(st.sampled_from((2, 3, 5, 37, 8761, 2**31 - 1)))
+    n = draw(st.integers(2, 30))
+    residues = st.integers(0, p - 1)
+
+    def poly(max_degree):
+        deg = draw(st.integers(0, max_degree))
+        return draw(st.lists(residues, min_size=deg, max_size=deg)) + \
+            [draw(st.integers(1, p - 1))]
+
+    f = draw(st.lists(residues, min_size=n, max_size=n)) + [1]
+    factors = [draw(st.lists(residues, min_size=n, max_size=n))
+               for _ in range(2)]
+    dividend = _ptrim(draw(st.lists(residues, max_size=n + 1)))
+    divisor = poly(n)
+    cofactor = poly(n - len(divisor) + 1)
+    return p, f, factors, dividend, divisor, cofactor
+
+
+@settings(max_examples=200)
+@given(_packed_cases())
+def test_packed_ring_matches_the_list_arithmetic(case):
+    p, f, (u, v), a, b, c = case
+    ring = _PackedRing(f, p)
+    pack = ring.pack
+    assert _unpack(ring, ring.mul(pack(u), pack(v))) == \
+        _pdivmod(_pmul(u, v, p), f, p)[1]
+    quot, rem = ring.divmod(pack(a), pack(b))
+    assert [_unpack(ring, quot), _unpack(ring, rem)] == \
+        list(_pdivmod(a, b, p))
+    assert ring.divmod(pack(a), pack(b), quotient=False) == (0, rem)
+    # an exact quotient, and gcds up to a unit
+    cb = _pmul(c, b, p)
+    assert ring.divmod(pack(cb), pack(b)) == (pack(c), 0)
+    assert _pmonic(_unpack(ring, ring.gcd(pack(a), pack(b))), p) == \
+        _pgcd(a, b, p)
+    assert _pmonic(_unpack(ring, ring.gcd(pack(cb), pack(b))), p) == \
+        _pgcd(cb, b, p) == _pmonic(b, p)
 
 
 def test_irreducibility_examples():
