@@ -473,7 +473,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     except (NotPrime, BadCharacteristic, InsufficientPoints,
-            DuplicateAbscissa, ValueError) as exc:
+            DuplicateAbscissa, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(payload, rows, ok, args.format)

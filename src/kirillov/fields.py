@@ -10,24 +10,17 @@ anywhere.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import isqrt
 
 from .errors import NotNilpotent, NotPrime
-from .intpoly import IntPoly, _pdivmod, _pmul, _ptrim, ddf_degrees
+from .intpoly import IntPoly, _PackedRing, ddf_degrees, is_prime
 from .partitions import Partition, jordan_type_from_ranks
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class FieldCtx:
     """Immutable arithmetic context for GF(p^k)."""
 
-    __slots__ = ("p", "k", "q", "modulus")
+    __slots__ = ("p", "k", "q", "modulus", "ring")
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -38,6 +31,7 @@ class FieldCtx:
         self.k = k
         self.q = p**k
         self.modulus = None if k == 1 else _find_modulus(p, k)
+        self.ring = None if k == 1 else _PackedRing(self.modulus, p)
 
     # -- element plumbing ------------------------------------------------
 
@@ -73,20 +67,22 @@ class FieldCtx:
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x * y) % self.p
-        prod = _pmul(self._vec(x), self._vec(y), self.p)
-        return self._enc(_pdivmod(prod, self.modulus, self.p)[1])
+        ring = self.ring
+        prod = ring.mul(ring.pack(self._vec(x)), ring.pack(self._vec(y)))
+        return self._enc(ring.unpack(prod))
 
     def scale_int(self, m: int, x: int) -> int:
         """Integer multiple m*x (m reduced into the prime subfield)."""
         return self.mul(self.from_int(m), x)
 
     def inv(self, x: int) -> int:
-        """Multiplicative inverse of a nonzero element (extended Euclid)."""
+        """Multiplicative inverse of a nonzero element: `pow(x, -1, p)` in a
+        prime field, and x^(q-2) in an extension, since x^(q-1) = 1."""
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.k == 1:
             return pow(x, -1, self.p)
-        return self._enc(_polyinv(self._vec(x), self.modulus, self.p))
+        return self.pow(x, self.q - 2)
 
     def pow(self, x: int, e: int) -> int:
         result = 1
@@ -127,22 +123,6 @@ class FieldCtx:
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
-
-
-def _polyinv(vec, modulus, p):
-    # extended Euclid in GF(p)[x] against the modulus
-    r0, r1 = list(modulus), _ptrim(list(vec))
-    s0, s1 = [], [1]
-    while r1:
-        quot, rem = _pdivmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _ptrim([(a - b) % p for a, b in
-                             zip_longest(s0, _pmul(quot, s1, p), fillvalue=0)])
-    # r0 is a nonzero constant gcd; normalize
-    inv_c = pow(r0[0], p - 2, p)
-    out = [(c * inv_c) % p for c in s0]
-    out += [0] * (len(modulus) - 1 - len(out))
-    return out
 
 
 def _find_modulus(p: int, k: int):

@@ -11,8 +11,10 @@ across primes, and a complete Kronecker search as the fallback).
 
 The factor degrees modulo p come from one distinct-degree factorization
 that splits off each factor once per multiplicity, so it needs no
-squarefree decomposition first.  It runs entirely on packed ints
-(Kronecker substitution, one polynomial per int): one multiply, shift and
+squarefree decomposition first.  It runs entirely on the packed ints of
+`_PackedRing`, the package's one implementation of GF(p)[x] modulo a
+monic f (Kronecker substitution, one polynomial per int), which also
+multiplies the elements of GF(p^k) in `fields`: one multiply, shift and
 mask reduces every coefficient mod p at once, products are reduced mod f
 by Barrett's method, and Euclid's algorithm subtracts whole multiples of
 the divisor.  Frobenius h -> h^p, which is GF(p)-linear, is a table: the
@@ -258,56 +260,22 @@ def _divide_by_q_minus_1(p: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic of polynomials modulo a prime (dense int lists, lowest first,
-# and the packed ints of the distinct-degree factorization)
+# arithmetic of polynomials modulo a prime, on packed ints
 # ---------------------------------------------------------------------------
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    for shift in range(len(a) - len(b), -1, -1):
-        f = (a[shift + len(b) - 1] * inv_lead) % p
-        if f:
-            quot[shift] = f
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-    return _ptrim(quot), _ptrim(a)
-
-
-def _pmonic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
 
 
 class _PackedRing:
     """GF(p)[x] arithmetic for one monic f of degree n >= 2, on packed ints.
 
-    A polynomial is one int (Kronecker substitution): coefficient i sits in
-    slot i, bits [i w, (i + 1) w).  Sums and products act on every slot at
-    once and leave residue sums in the slots; `reduce` then takes every
-    slot mod p with one multiply, shift and mask (Granlund and Montgomery's
-    division by an invariant integer, applied to all slots together):
+    This is the only GF(p)[x] code of the package: `ddf_degrees` runs on
+    it, and `fields.FieldCtx` multiplies GF(p^k) elements with it, f being
+    the field's modulus.  A polynomial is one int (Kronecker substitution):
+    coefficient i sits in slot i, bits [i w, (i + 1) w); `pack` and
+    `unpack` convert from and to coefficient lists, lowest first.  Sums
+    and products act on every slot at once and leave residue sums in the
+    slots; `reduce` then takes every slot mod p with one multiply, shift
+    and mask (Granlund and Montgomery's division by an invariant integer,
+    applied to all slots together):
 
         v - p * (((v * m) >> s) & M),   m = ceil(2^s / p),  s = a + L,
 
@@ -375,6 +343,11 @@ class _PackedRing:
         for c in reversed(coeffs):
             v = (v << self.width) | c
         return v
+
+    def unpack(self, v):
+        """The coefficients of reduced v, lowest first, no zeros on top."""
+        return [v >> self.width * i & self.mask
+                for i in range(self.degree(v) + 1)]
 
     def reduce(self, v):
         """Every slot of v mod p."""
@@ -452,7 +425,8 @@ def ddf_degrees(f: IntPoly, p: int) -> list[int]:
     """
     if f.leading % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient {f.leading}")
-    fbar = _pmonic(_ptrim([c % p for c in f.coeffs]), p)
+    inv = pow(f.leading, -1, p)
+    fbar = [c * inv % p for c in f.coeffs]
     if len(fbar) <= 2:
         return [1] * (len(fbar) - 1)
     ring = _PackedRing(fbar, p)
@@ -503,14 +477,19 @@ class Verdict:
 CERTIFICATE_PRIMES = 10  # primes tried for mod-p certificates and degree sets
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _first_primes_over_3(count: int, avoid: int):
     """First ``count`` primes > 3 that do not divide ``avoid``."""
     primes = []
     n = 5
     while len(primes) < count:
-        if all(n % d for d in range(2, isqrt(n) + 1)):
-            if avoid % n != 0:
-                primes.append(n)
+        if is_prime(n) and avoid % n != 0:
+            primes.append(n)
         n += 2
     return primes
 

@@ -2,7 +2,8 @@
 
 These stay deliberately naive and independent of the library code paths
 they check: cells are enumerated and re-validated directly, tableaux are
-counted by backtracking, and factor searches try every divisor tuple.
+counted by backtracking, factor searches try every divisor tuple, and
+GF(p)[x] arithmetic runs on dense int lists instead of packed ints.
 """
 
 from __future__ import annotations
@@ -20,6 +21,46 @@ from kirillov.partitions import Partition
 settings.register_profile("kirillov", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("kirillov")
+
+
+# -- GF(p)[x] on dense int lists, lowest degree first, no zeros on top --
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _pdivmod(a, b, p):
+    a = list(a)
+    inv_lead = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = (a[shift + len(b) - 1] * inv_lead) % p
+        if f:
+            quot[shift] = f
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % p
+    return _ptrim(quot), _ptrim(a)
+
+
+def _pmonic(a, p):
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [(c * inv) % p for c in a]
 
 
 def oracle_removable_cells(parts: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -161,6 +161,15 @@ def test_g2_census_rejects_small_characteristic(capsys):
     assert "characteristic" in err
 
 
+def test_a_field_too_large_for_the_kernels_is_a_usage_error(capsys):
+    # (p-1)^2 does not fit int64, so the census kernels refuse the field
+    code = main(["typea", "census", "1", "3037000507"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow int64" in err
+
+
 def test_g2_census_budget_exit_code(capsys):
     code = main(["g2", "census", "23", "--budget", "1000"])
     err = capsys.readouterr().err

@@ -10,6 +10,8 @@ from kirillov.fields import (
 )
 from kirillov.intpoly import IntPoly, ddf_degrees
 
+from conftest import _pdivmod, _pmul
+
 
 def test_prime_field_examples():
     ctx = make_prime_field(5)
@@ -48,6 +50,32 @@ def test_field_contexts_pickle_by_value():
         copy = pickle.loads(pickle.dumps(ctx))
         assert copy == ctx and hash(copy) == hash(ctx)
         assert (copy.q, copy.modulus) == (ctx.q, ctx.modulus)
+        # the packed ring travels with the context and multiplies alike
+        assert all(copy.mul(x, y) == ctx.mul(x, y)
+                   for x in range(q) for y in range(q))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_extension_products_match_the_list_arithmetic(q):
+    # every product against the schoolbook product of the digit vectors
+    # reduced mod the modulus on int lists, so a ring built on another
+    # modulus than the one the encoding names cannot pass; the inverse is
+    # the one element whose product is 1
+    ctx = field_of_order(q)
+    p, k = ctx.p, ctx.k
+
+    def digits(x):
+        return [x // p**i % p for i in range(k)]
+
+    def encode(vec):
+        return sum(c * p**i for i, c in enumerate(vec))
+
+    for x in range(q):
+        row = [encode(_pdivmod(_pmul(digits(x), digits(y), p),
+                               ctx.modulus, p)[1]) for y in range(q)]
+        assert [ctx.mul(x, y) for y in range(q)] == row, x
+        if x:
+            assert row.count(1) == 1 and ctx.inv(x) == row.index(1), x
 
 
 def test_modulus_is_irreducible_by_ddf():

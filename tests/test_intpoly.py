@@ -15,17 +15,19 @@ from kirillov.intpoly import (
     Q,
     Q_MINUS_1,
     _PackedRing,
-    _pdivmod,
-    _pmonic,
-    _pmul,
-    _ptrim,
     ddf_degrees,
     irreducibility,
     poly_interpolate,
     split_qfactors,
 )
 
-from conftest import oracle_kronecker_reducible
+from conftest import (
+    _pdivmod,
+    _pmonic,
+    _pmul,
+    _ptrim,
+    oracle_kronecker_reducible,
+)
 
 
 def test_eval_examples():
@@ -330,37 +332,31 @@ def test_ddf_splits_every_monic_polynomial_of_low_degree(p, max_degree):
                 _factor_degrees_by_trial_division(poly, p), poly
 
 
-def _unpack(ring, v):
-    # the coefficients of a packed int with reduced slots, trimmed
-    return [v >> ring.width * i & ring.mask
-            for i in range(ring.degree(v) + 1)]
-
-
 @pytest.mark.parametrize("p", [2, 5, 8761, 2**31 - 1])
 def test_frobenius_table_packing_holds_its_largest_sum(p):
     rng = random.Random(p)
     for n in (2, 3, 7, 30):
         f = [rng.randrange(p) for _ in range(n)] + [1]
         ring = _PackedRing(f, p)
-        assert _unpack(ring, ring.mu) == \
+        assert ring.unpack(ring.mu) == \
             _pdivmod([0] * (2 * n - 2) + [1], f, p)[0]
         # two all-(p-1) operands fill the middle slot of their product
         # with n (p-1)^2
         top = [p - 1] * n
         got = ring.mul(ring.pack(top), ring.pack(top))
-        assert _unpack(ring, got) == _pdivmod(_pmul(top, top, p), f, p)[1]
+        assert ring.unpack(got) == _pdivmod(_pmul(top, top, p), f, p)[1]
         # and h^p = sum h_i x^(i p) against square and multiply
-        assert _unpack(ring, ring.frobenius(ring.pack(top))) == \
+        assert ring.unpack(ring.frobenius(ring.pack(top))) == \
             _ppowmod(top, p, f, p)
         for i in (1, n - 1):
-            assert _unpack(ring, ring.rows[i]) == \
+            assert ring.unpack(ring.rows[i]) == \
                 _ppowmod([0] * i + [1], p, f, p)
         # a divisor of degree about n/2 puts the most quotient steps on
         # one slot of a degree-n dividend
         for db in range(n + 1):
             quot, rem = ring.divmod(ring.pack([p - 1] * (n + 1)),
                                     ring.pack([p - 1] * (db + 1)))
-            assert [_unpack(ring, quot), _unpack(ring, rem)] == \
+            assert [ring.unpack(quot), ring.unpack(rem)] == \
                 list(_pdivmod([p - 1] * (n + 1), [p - 1] * (db + 1), p))
         # the slot reduction at the largest slot it admits, 2^a - 1, and
         # at the multiples of p next to it, in every slot of a product; a
@@ -371,7 +367,7 @@ def test_frobenius_table_packing_holds_its_largest_sum(p):
         values = [2**a - 1] + [v for v in (k * p - 1, k * p, k * p + 1)
                                if v < 2**a]
         slots = (values * (2 * n))[:2 * n - 1]
-        assert _unpack(ring, ring.reduce(ring.pack(slots))) == \
+        assert ring.unpack(ring.reduce(ring.pack(slots))) == \
             _ptrim([v % p for v in slots])
 
 
@@ -405,18 +401,18 @@ def test_packed_ring_matches_the_list_arithmetic(case):
     p, f, (u, v), a, b, c = case
     ring = _PackedRing(f, p)
     pack = ring.pack
-    assert _unpack(ring, ring.mul(pack(u), pack(v))) == \
+    assert ring.unpack(ring.mul(pack(u), pack(v))) == \
         _pdivmod(_pmul(u, v, p), f, p)[1]
     quot, rem = ring.divmod(pack(a), pack(b))
-    assert [_unpack(ring, quot), _unpack(ring, rem)] == \
+    assert [ring.unpack(quot), ring.unpack(rem)] == \
         list(_pdivmod(a, b, p))
     assert ring.divmod(pack(a), pack(b), quotient=False) == (0, rem)
     # an exact quotient, and gcds up to a unit
     cb = _pmul(c, b, p)
     assert ring.divmod(pack(cb), pack(b)) == (pack(c), 0)
-    assert _pmonic(_unpack(ring, ring.gcd(pack(a), pack(b))), p) == \
+    assert _pmonic(ring.unpack(ring.gcd(pack(a), pack(b))), p) == \
         _pgcd(a, b, p)
-    assert _pmonic(_unpack(ring, ring.gcd(pack(cb), pack(b))), p) == \
+    assert _pmonic(ring.unpack(ring.gcd(pack(cb), pack(b))), p) == \
         _pgcd(cb, b, p) == _pmonic(b, p)
 
 
