@@ -13,6 +13,7 @@ from .errors import (
     InsufficientPoints,
     InvalidRankSequence,
     NonIntegerCoefficients,
+    NotAField,
     NotNilpotent,
     NotPrime,
     PredicateMismatch,

@@ -60,7 +60,7 @@ import os
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import NotAField, TooLarge
 from .fields import FieldCtx
 
 DEFAULT_BUDGET = 200_000_000
@@ -338,16 +338,21 @@ def decode_sequence(key: int, length: int) -> tuple[int, ...]:
 
 
 def _generator_powers(ctx: FieldCtx) -> np.ndarray:
-    """g^0 .. g^(q-2) for the first generator g of the multiplicative group."""
+    """g^0 .. g^(q-2) for the first generator g of the multiplicative group.
+
+    Each walk stops after q - 1 steps, so a ``ctx.mul`` that is not a field
+    product raises NotAField instead of walking forever.
+    """
     for g in range(2, ctx.q):
         powers = [1]
         x = g
-        while x != 1:
+        while x != 1 and len(powers) < ctx.q - 1:
             powers.append(x)
             x = ctx.mul(x, g)
-        if len(powers) == ctx.q - 1:
+        if x == 1 and len(powers) == ctx.q - 1:
             return np.array(powers)
-    raise AssertionError(f"GF({ctx.q}) has no generator")  # unreachable
+    raise NotAField(f"no element of GF({ctx.q}) has multiplicative order "
+                    f"{ctx.q - 1}")
 
 
 class FieldTables:
@@ -356,12 +361,12 @@ class FieldTables:
     Arrays hold field-encoded elements.  For k = 1 the helpers are plain
     residue arithmetic mod p.  For k > 1 every operation is a gather from
     a q x q table (``add_t``, ``sub_t``, ``mul_t``): sums and differences
-    act digit by digit on the base-p encodings, and products come from
-    the discrete logarithms to a generator found with ``ctx.mul``.
-    ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the size of the
-    matrices the kernels will multiply; for k = 1 it sets the integer
-    type (see ``dtype_for``), for k > 1 the type only has to hold the
-    table indices.
+    are ``ctx.add`` and ``ctx.sub`` over every pair of elements, and
+    products come from the discrete logarithms to a generator found with
+    ``ctx.mul``.  ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the
+    size of the matrices the kernels will multiply; for k = 1 it sets the
+    integer type (see ``dtype_for``), for k > 1 the type only has to hold
+    the table indices.
     """
 
     def __init__(self, ctx: FieldCtx, n: int = 1):
@@ -378,12 +383,8 @@ class FieldTables:
         self.dtype = np.int32 if q * q <= np.iinfo(np.int32).max else np.int64
         _check_indices_fit(q, self.dtype)
         elems = np.arange(q, dtype=self.dtype)
-        self.add_t = np.zeros((q, q), dtype=self.dtype)
-        self.sub_t = np.zeros((q, q), dtype=self.dtype)
-        for i in range(k):
-            digit = elems // p**i % p
-            self.add_t += (digit[:, None] + digit[None, :]) % p * p**i
-            self.sub_t += (digit[:, None] - digit[None, :]) % p * p**i
+        self.add_t = ctx.add(elems[:, None], elems[None, :])
+        self.sub_t = ctx.sub(elems[:, None], elems[None, :])
         exp = _generator_powers(ctx).astype(self.dtype)
         log = np.zeros(q, dtype=self.dtype)
         log[exp] = np.arange(q - 1)
@@ -413,9 +414,7 @@ class FieldTables:
         return self._gather(self.mul_t, x, y)
 
     def scale_int(self, m: int, x):
-        if self.k == 1:
-            return (m * x) % self.p
-        return self.mul_t[m % self.p][x]
+        return self.mul(m % self.p, x)
 
     def embed(self, elem_mats: np.ndarray) -> np.ndarray:
         """The batch the rank kernels take: the field-encoded batch itself.

@@ -13,6 +13,10 @@ class BadCharacteristic(ValueError):
     """The g2 construction requires characteristic p > 3."""
 
 
+class NotAField(ArithmeticError):
+    """No element of a field context generates its multiplicative group."""
+
+
 class InvalidRankSequence(ValueError):
     """The rank sequence does not come from an n-dimensional nilpotent matrix."""
 

@@ -39,37 +39,34 @@ class FieldCtx:
         """Reduce an integer into the prime subfield."""
         return n % self.p
 
-    def _vec(self, x: int):
-        digits = []
-        for _ in range(self.k):
-            digits.append(x % self.p)
-            x //= self.p
-        return digits
-
-    def _enc(self, vec) -> int:
-        out = 0
-        for d in reversed(vec[: self.k]):
-            out = out * self.p + d
-        return out
-
     # -- arithmetic -------------------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x + y) % self.p
-        return self._enc([(a + b) % self.p for a, b in zip(self._vec(x), self._vec(y))])
+    def add(self, x, y):
+        """x + y on ints, or elementwise on integer numpy arrays (which
+        broadcast); ``FieldTables`` builds its sum table this way."""
+        p, k = self.p, self.k
+        if k == 1:
+            return (x + y) % p
+        return _from_digits([(a + b) % p for a, b
+                             in zip(_digits(x, p, k), _digits(y, p, k))], p)
 
-    def sub(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x - y) % self.p
-        return self._enc([(a - b) % self.p for a, b in zip(self._vec(x), self._vec(y))])
+    def sub(self, x, y):
+        """x - y on ints, or elementwise on integer numpy arrays (which
+        broadcast); ``FieldTables`` builds its difference table this way."""
+        p, k = self.p, self.k
+        if k == 1:
+            return (x - y) % p
+        return _from_digits([(a - b) % p for a, b
+                             in zip(_digits(x, p, k), _digits(y, p, k))], p)
 
     def mul(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x * y) % self.p
+        p, k = self.p, self.k
+        if k == 1:
+            return (x * y) % p
         ring = self.ring
-        prod = ring.mul(ring.pack(self._vec(x)), ring.pack(self._vec(y)))
-        return self._enc(ring.unpack(prod))
+        prod = ring.mul(ring.pack(_digits(x, p, k)),
+                        ring.pack(_digits(y, p, k)))
+        return _from_digits(ring.unpack(prod), p)
 
     def scale_int(self, m: int, x: int) -> int:
         """Integer multiple m*x (m reduced into the prime subfield)."""
@@ -125,15 +122,22 @@ class FieldCtx:
         return hash((self.p, self.k, self.modulus))
 
 
+def _digits(x, p: int, k: int) -> list:
+    """The k base-p digits of x (an int or an integer numpy array), lowest
+    first: the coefficients of the polynomial that the element x encodes."""
+    return [x // p**i % p for i in range(k)]
+
+
+def _from_digits(ds, p: int):
+    """The element with base-p digits ``ds``, lowest first (ints or
+    integer numpy arrays); the inverse of ``_digits``."""
+    return sum(d * p**i for i, d in enumerate(ds))
+
+
 def _find_modulus(p: int, k: int):
     """Smallest (by canonical encoding) monic irreducible of degree k."""
     for enc in range(p**k):
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        coeffs.append(1)
+        coeffs = _digits(enc, p, k) + [1]
         if ddf_degrees(IntPoly(coeffs), p) == [k]:
             return tuple(coeffs)
     raise RuntimeError("no irreducible modulus found")  # unreachable
@@ -148,7 +152,7 @@ def field_of_order(q: int) -> FieldCtx:
     """GF(q) for a prime power q."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    p = min(d for d in range(2, isqrt(q) + 1) if q % d == 0) if not is_prime(q) else q
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     k = 0
     rest = q
     while rest % p == 0:

@@ -519,8 +519,7 @@ def closed_form_case_counts(q: int) -> list[CaseCount]:
     Only the directly counted case/sequence pairs appear; the
     (4,2,0,0,0,0) sequences are recovered by complement.
     """
-    if field_of_order(q).p <= 3:
-        raise BadCharacteristic(f"q={q} has characteristic <= 3")
+    _require_char(field_of_order(q))
     return [
         CaseCount(1, FULL_RANK_SEQ, (q - 1) ** 2 * q**4),
         CaseCount(2, (2, 0, 0, 0, 0, 0), q**2 * (q - 1)),
@@ -593,30 +592,21 @@ def g2_interpolate(orders=None, workers: int = 1, budget: int = DEFAULT_BUDGET,
     points = {lam: [(q, reports[q].counts.get(lam, 0)) for q in orders]
               for lam in lams}
 
-    polynomials: dict = {}
-    routes: dict = {}
-    if len(orders) >= 7:
-        for lam in lams:
-            polynomials[lam] = poly_interpolate(points[lam])
-            routes[lam] = "interpolated"
-        complement = Q**6
-        for lam in lams:
-            if lam != COMPLEMENT_PARTITION:
-                complement = complement - polynomials[lam]
-        complement_ok = complement == polynomials[COMPLEMENT_PARTITION]
-    else:
-        for lam in lams:
-            if lam == DEGREE6_PARTITION:
-                continue
-            polynomials[lam] = poly_interpolate(points[lam])
-            routes[lam] = "interpolated"
-        complement = Q**6
-        for lam, poly in polynomials.items():
-            complement = complement - poly
-        polynomials[DEGREE6_PARTITION] = complement
-        routes[DEGREE6_PARTITION] = "complement"
-        complement_ok = all(complement(q) == count
-                            for q, count in points[DEGREE6_PARTITION])
+    # the complement (q^6 minus the rest) is checked against the census
+    # points of the target: (3,3,1) with >= 7 orders, where agreeing at
+    # N >= 7 points is being equal to the degree-<N interpolant, and (7)
+    # with 6 orders, too few for its degree 6, where it stands in for it
+    many = len(orders) >= 7
+    target = COMPLEMENT_PARTITION if many else DEGREE6_PARTITION
+    polynomials = {lam: poly_interpolate(points[lam])
+                   for lam in lams if lam != target}
+    complement = Q**6
+    for poly in polynomials.values():
+        complement = complement - poly
+    complement_ok = all(complement(q) == count for q, count in points[target])
+    routes = dict.fromkeys(polynomials, "interpolated")
+    polynomials[target] = poly_interpolate(points[target]) if many else complement
+    routes[target] = "interpolated" if many else "complement"
     matches = {lam: polynomials[lam] == expected_polynomials()[lam]
                for lam in lams}
     return InterpolationResult(orders=orders, polynomials=polynomials,

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from kirillov.errors import NotNilpotent, NotPrime
 from kirillov.fields import (
     FieldCtx,
     FMatrix,
+    _digits,
+    _from_digits,
     field_of_order,
     make_prime_field,
     rank_sequence,
@@ -11,6 +14,16 @@ from kirillov.fields import (
 from kirillov.intpoly import IntPoly, ddf_degrees
 
 from conftest import _pdivmod, _pmul
+
+
+# the encoding written out independently of the package's codec: an
+# element's base-p digits, lowest first, are its polynomial's coefficients
+def digits(x, p, k):
+    return [x // p**i % p for i in range(k)]
+
+
+def encode(vec, p):
+    return sum(c * p**i for i, c in enumerate(vec))
 
 
 def test_prime_field_examples():
@@ -41,6 +54,37 @@ def test_extension_field_moduli():
         assert field_of_order(q).modulus == modulus, q
 
 
+def test_digit_codec_round_trips_on_ints_and_arrays():
+    # the fields whose moduli test_extension_field_moduli pins
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 81, 121, 125, 169):
+        ctx = field_of_order(q)
+        p, k = ctx.p, ctx.k
+        for x in range(q):
+            assert _digits(x, p, k) == digits(x, p, k), (q, x)
+            assert _from_digits(_digits(x, p, k), p) == x, (q, x)
+    ctx = field_of_order(125)
+    elems = np.arange(125, dtype=np.int32)
+    ds = _digits(elems, ctx.p, ctx.k)
+    assert [d.tolist() for d in ds] == [list(col) for col in zip(
+        *(digits(x, ctx.p, ctx.k) for x in range(125)))]
+    back = _from_digits(ds, ctx.p)
+    assert back.dtype == np.int32 and back.tolist() == elems.tolist()
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 49])
+def test_sums_and_differences_broadcast_over_arrays(q):
+    # FieldTables builds its sum and difference tables this way
+    ctx = field_of_order(q)
+    elems = np.arange(q, dtype=np.int32)
+    add = ctx.add(elems[:, None], elems[None, :])
+    sub = ctx.sub(elems[:, None], elems[None, :])
+    assert add.shape == sub.shape == (q, q)
+    assert add.tolist() == [[ctx.add(x, y) for y in range(q)]
+                            for x in range(q)]
+    assert sub.tolist() == [[ctx.sub(x, y) for y in range(q)]
+                            for x in range(q)]
+
+
 def test_field_contexts_pickle_by_value():
     # a context pickles by value, so it can cross a process boundary
     import pickle
@@ -63,16 +107,9 @@ def test_extension_products_match_the_list_arithmetic(q):
     # the one element whose product is 1
     ctx = field_of_order(q)
     p, k = ctx.p, ctx.k
-
-    def digits(x):
-        return [x // p**i % p for i in range(k)]
-
-    def encode(vec):
-        return sum(c * p**i for i, c in enumerate(vec))
-
     for x in range(q):
-        row = [encode(_pdivmod(_pmul(digits(x), digits(y), p),
-                               ctx.modulus, p)[1]) for y in range(q)]
+        row = [encode(_pdivmod(_pmul(digits(x, p, k), digits(y, p, k), p),
+                               ctx.modulus, p)[1], p) for y in range(q)]
         assert [ctx.mul(x, y) for y in range(q)] == row, x
         if x:
             assert row.count(1) == 1 and ctx.inv(x) == row.index(1), x
@@ -109,10 +146,13 @@ def test_field_of_order():
     assert field_of_order(7).k == 1
     assert field_of_order(49).k == 2
     assert field_of_order(8).q == 8
-    with pytest.raises(NotPrime):
-        field_of_order(6)
-    with pytest.raises(NotPrime):
-        field_of_order(12)
+    for q, (p, k) in {2: (2, 1), 4: (2, 2), 121: (11, 2), 169: (13, 2),
+                      2197: (13, 3), 1009: (1009, 1)}.items():
+        ctx = field_of_order(q)
+        assert (ctx.p, ctx.k, ctx.q) == (p, k, q), q
+    for q in (0, 1, 6, 12, 18):
+        with pytest.raises(NotPrime):
+            field_of_order(q)
 
 
 def test_quadratic_character_matches_explicit_squares():

@@ -266,6 +266,12 @@ def test_closed_form_values_at_5():
     assert forms[(3, (4, 1, 0, 0, 0, 0))] == 500
 
 
+@pytest.mark.parametrize("q", [8, 9])
+def test_closed_form_case_counts_reject_characteristic_2_and_3(q):
+    with pytest.raises(BadCharacteristic):
+        closed_form_case_counts(q)
+
+
 def test_census_counts_match_polynomials_for_7():
     report = census_cached(7)
     assert report.counts == {lam: poly(7)
@@ -445,6 +451,37 @@ def test_interpolation_routes_with_synthetic_censuses(monkeypatch):
     assert all(route == "interpolated" for route in full.routes.values())
     assert full.complement_ok
     assert full.polynomials == expected_polynomials()
+
+
+def test_interpolation_flags_a_complement_that_misses_the_census(
+        monkeypatch):
+    import kirillov.g2 as g2mod
+
+    def shifted(lam, shift):
+        def census(q, workers=1, budget=0, exhaustive=True):
+            report = _synthetic_census(q)
+            report.counts[lam] += shift(q)
+            return report
+        return census
+
+    # seven orders: a (3,3,1) count off by q everywhere is interpolated as
+    # it is, and the complement of the other four disagrees with it
+    monkeypatch.setattr(g2mod, "census_cached",
+                        shifted(COMPLEMENT_PARTITION, lambda q: q))
+    full = g2mod.g2_interpolate(orders=(5, 7, 11, 13, 17, 19, 23))
+    assert not full.complement_ok and not full.passed
+    assert all(route == "interpolated" for route in full.routes.values())
+    assert full.polynomials[COMPLEMENT_PARTITION] == (
+        expected_polynomials()[COMPLEMENT_PARTITION] + IntPoly((0, 1)))
+
+    # six orders: the complement stands in for (7), and a (7) count off
+    # by one at a single order disagrees with it there
+    monkeypatch.setattr(g2mod, "census_cached",
+                        shifted(Partition((7,)), lambda q: int(q == 11)))
+    reduced = g2mod.g2_interpolate(orders=(5, 7, 11, 13, 17, 19))
+    assert not reduced.complement_ok and not reduced.passed
+    assert reduced.routes[Partition((7,))] == "complement"
+    assert reduced.polynomials == expected_polynomials()
 
 
 def test_interpolation_requires_enough_points():

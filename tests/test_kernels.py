@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from kirillov._kernels import (
     FieldTables,
+    _generator_powers,
     decode_mixed_radix,
     decode_sequence,
     dtype_for,
@@ -21,6 +22,7 @@ from kirillov._kernels import (
     rank_batch,
     run_census,
 )
+from kirillov.errors import NotAField
 from kirillov.fields import (
     FieldCtx,
     FMatrix,
@@ -229,6 +231,25 @@ def test_field_tables_match_the_field_arithmetic(q):
             assert t.add_t[x, y] == ctx.add(x, y)
             assert t.sub_t[x, y] == ctx.sub(x, y)
             assert t.mul_t[x, y] == ctx.mul(x, y)
+        for m in (-4, 3, ctx.p + 2):
+            assert t.scale_int(m, x) == ctx.scale_int(m, x)
+
+
+def test_generator_search_raises_on_a_product_that_is_not_a_field():
+    # multiplication mod 8 has no element of order 7, and 2, 4 and 6 walk
+    # into 0 and never come back to 1; the fake raises instead of letting
+    # an unbounded walk grow its list of powers
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("the generator walk did not stop")
+        return x * y % 8
+
+    with pytest.raises(NotAField, match=r"GF\(8\)"):
+        _generator_powers(SimpleNamespace(q=8, mul=mul))
+    assert len(calls) <= 7 * 6
 
 
 def test_rank_sequence_packing_round_trip_and_range():
