@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
+from operator import index
 
 from .errors import (
     BadPrime,
@@ -38,17 +39,33 @@ from .errors import (
 
 
 class IntPoly:
-    """Univariate polynomial over Z, coefficient of q^i at index i."""
+    """Univariate polynomial over Z, coefficient of q^i at index i.
+
+    The constructor accepts any integers (ints, bools, numpy integers) and
+    raises TypeError for anything else, floats and rationals included,
+    instead of truncating them.  Results of the ring operations are built
+    by `_of` from lists that already hold Python ints.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = [int(index(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, cs: list) -> "IntPoly":
+        """The polynomial of a list of Python ints, trimmed in place and
+        not coerced: the constructor for results the module computes."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(cs)
+        return poly
 
     @classmethod
     def from_text(cls, text: str) -> "IntPoly":
@@ -80,14 +97,18 @@ class IntPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        longer, shorter = self.coeffs, _coerce(other).coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            out[i] += c
+        return IntPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -104,20 +125,26 @@ class IntPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        e = index(e)
         if e < 0:
             raise ValueError("negative exponent")
-        result = IntPoly((1,))
+        cs = self.coeffs
+        if cs and not any(cs[:-1]):
+            # a monomial c q^d: the power is c^e q^(d e)
+            return IntPoly._of([0] * ((len(cs) - 1) * e) + [cs[-1] ** e])
+        result = IntPoly._of([1])
         base = self
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -186,9 +213,16 @@ Q_MINUS_1 = IntPoly((-1, 1))
 def poly_interpolate(points) -> IntPoly:
     """Exact interpolating polynomial through integer ``(x, y)`` points.
 
-    Uses Newton's divided differences over exact rationals and insists the
-    final coefficients are integers; anything else means the samples do
-    not come from an integer polynomial of that degree.
+    Newton's divided differences, in integers.  At distinct integer
+    abscissas every divided difference of an integer polynomial is an
+    integer (it is a Z-combination of the complete symmetric polynomials
+    of the abscissas), and the divided differences of the data are those
+    of its unique interpolant of degree below the number of points.  So
+    the first divided difference that is not an integer proves that the
+    interpolant has a non-integer coefficient, and raises
+    NonIntegerCoefficients; a table of integers expands to integer
+    coefficients.  Either way the samples come from an integer
+    polynomial of that degree exactly when this returns.
     """
     pts = [(int(x), int(y)) for x, y in points]
     xs = [x for x, _ in pts]
@@ -196,25 +230,26 @@ def poly_interpolate(points) -> IntPoly:
         raise DuplicateAbscissa(f"duplicate abscissa in {sorted(xs)}")
     if not pts:
         return IntPoly()
-    # divided-difference table, exact
-    coefs = [Fraction(y) for _, y in pts]
+    # divided-difference table, in place
+    coefs = [y for _, y in pts]
     for level in range(1, len(pts)):
         for i in range(len(pts) - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
+            num = coefs[i] - coefs[i - 1]
+            den = xs[i] - xs[i - level]
+            if num % den:
+                raise NonIntegerCoefficients(
+                    f"divided difference {num}/{den} is not an integer")
+            coefs[i] = num // den
     # expand the Newton form: P = c0 + (q - x0)(c1 + (q - x1)(c2 + ...))
     poly = [coefs[-1]]
     for i in range(len(pts) - 2, -1, -1):
         # multiply by (q - xs[i]) then add coefs[i]
-        shifted = [Fraction(0)] + poly
-        poly = [shifted[j] - xs[i] * (poly[j] if j < len(poly) else 0)
-                for j in range(len(shifted))]
-        poly[0] += coefs[i]
-    ints = []
-    for c in poly:
-        if c.denominator != 1:
-            raise NonIntegerCoefficients(f"coefficient {c} is not an integer")
-        ints.append(int(c))
-    return IntPoly(ints)
+        x = xs[i]
+        shifted = [coefs[i]] + poly
+        for j, c in enumerate(poly):
+            shifted[j] -= x * c
+        poly = shifted
+    return IntPoly._of(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +276,7 @@ def split_qfactors(p: IntPoly) -> SplitForm:
     a = 0
     while p.coeff(a) == 0:
         a += 1
-    rest = IntPoly(p.coeffs[a:])
+    rest = IntPoly._of(list(p.coeffs[a:]))
     b = 0
     while rest(1) == 0:
         rest = _divide_by_q_minus_1(rest)
@@ -256,7 +291,7 @@ def _divide_by_q_minus_1(p: IntPoly) -> IntPoly:
     for i in range(p.degree, 0, -1):
         carry += p.coeffs[i]
         out[i - 1] = carry
-    return IntPoly(out)
+    return IntPoly._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +512,7 @@ class Verdict:
 CERTIFICATE_PRIMES = 10  # primes tried for mod-p certificates and degree sets
 
 
+@cache  # the certificate primes of every irreducibility call
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -517,22 +553,32 @@ def _divisors_signed(n: int) -> list[int]:
 
 
 def _divide_exact(a: IntPoly, b: IntPoly):
-    """Exact quotient a / b over Z, or None if b does not divide a."""
+    """Exact quotient a / b over Z, or None if b does not divide a.
+
+    Long division in integers.  Each step divides the top coefficient of
+    the remainder by b's leading coefficient.  While every step is exact,
+    the quotient and remainder are those of the division over Q, and b
+    divides a over Z exactly when nothing is left.  A step that leaves a
+    remainder means the quotient over Q has a non-integer coefficient, so
+    the division stops there (the remainder would keep that coefficient
+    anyway: later steps only change lower degrees).
+    """
     if b.is_zero():
         return None
-    rem = [Fraction(c) for c in a.coeffs]
-    quot = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    for shift in range(a.degree - b.degree, -1, -1):
-        f = rem[shift + b.degree] / b.leading
+    db, lead = b.degree, b.leading
+    rem = list(a.coeffs)
+    quot = [0] * max(a.degree - db + 1, 0)
+    for shift in range(a.degree - db, -1, -1):
+        f, r = divmod(rem[shift + db], lead)
+        if r:
+            return None
         quot[shift] = f
         if f:
             for i, c in enumerate(b.coeffs):
                 rem[shift + i] -= f * c
-    if any(r != 0 for r in rem):
+    if any(rem):
         return None
-    if any(c.denominator != 1 for c in quot):
-        return None
-    return IntPoly(int(c) for c in quot)
+    return IntPoly._of(quot)
 
 
 def _kronecker_points(count: int):
@@ -604,7 +650,7 @@ def irreducibility(r: IntPoly) -> Verdict:
     for c in r.coeffs:
         content = gcd(content, c)
     if content > 1:
-        prim = IntPoly(c // content for c in r.coeffs)
+        prim = IntPoly._of([c // content for c in r.coeffs])
         return Verdict(kind="reducible", method="content",
                        factors=(IntPoly((content,)), prim))
     if r.degree == 1:

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kirillov.errors import (
     BadPrime,
@@ -15,6 +17,7 @@ from kirillov.intpoly import (
     Q,
     Q_MINUS_1,
     _PackedRing,
+    _divide_exact,
     ddf_degrees,
     irreducibility,
     poly_interpolate,
@@ -22,12 +25,30 @@ from kirillov.intpoly import (
 )
 
 from conftest import (
+    _divmod_int,
+    _lagrange_fracs,
     _pdivmod,
     _pmonic,
     _pmul,
     _ptrim,
     oracle_kronecker_reducible,
 )
+
+
+@pytest.mark.parametrize("coeffs", [(0.5,), (2.7, 1), ("3",), (1, 2.0),
+                                    (Fraction(4, 2),), (np.float64(1),)])
+def test_constructor_rejects_non_integral_coefficients(coeffs):
+    # int() would truncate 0.5 to 0 and 2.7 to 2 and parse "3"
+    with pytest.raises(TypeError):
+        IntPoly(coeffs)
+
+
+def test_constructor_takes_any_integer_as_a_python_int():
+    poly = IntPoly((True, np.int64(-3), np.uint8(7), 0))
+    assert poly.coeffs == (1, -3, 7)
+    assert all(type(c) is int for c in poly.coeffs)
+    big = IntPoly((np.int64(2**62),)) ** 2
+    assert big.coeffs == (2**124,)
 
 
 def test_eval_examples():
@@ -84,6 +105,69 @@ def test_interpolate_round_trip_random():
         assert poly_interpolate([(x, poly(x)) for x in xs]) == poly
 
 
+@st.composite
+def _interpolation_data(draw):
+    """Distinct integer abscissas with the values of an integer polynomial
+    of any degree, the same with one value perturbed, or random values."""
+    xs = draw(st.lists(st.integers(-30, 30), unique=True, max_size=8))
+    kind = draw(st.sampled_from(("exact", "perturbed", "random")))
+    if kind == "random":
+        return xs, [draw(st.integers(-10**6, 10**6)) for _ in xs]
+    poly = IntPoly(draw(st.lists(st.integers(-100, 100), max_size=10)))
+    ys = [poly(x) for x in xs]
+    if kind == "perturbed" and xs:
+        ys[draw(st.integers(0, len(xs) - 1))] += draw(st.integers(1, 3))
+    return xs, ys
+
+
+@settings(max_examples=300)
+@given(_interpolation_data())
+def test_interpolate_matches_the_lagrange_oracle(data):
+    xs, ys = data
+    expected = _lagrange_fracs(xs, ys)
+    if expected is None:
+        with pytest.raises(NonIntegerCoefficients):
+            poly_interpolate(zip(xs, ys))
+    else:
+        assert poly_interpolate(zip(xs, ys)) == IntPoly(expected)
+
+
+@st.composite
+def _division_cases(draw):
+    """A nonzero divisor with any nonzero leading coefficient, negative
+    and non-monic ones included, and a dividend that is a multiple of it,
+    a multiple plus a small polynomial, any polynomial or zero."""
+    small = st.integers(-6, 6)
+    b = IntPoly(draw(st.lists(small, max_size=4)) +
+                [draw(st.integers(-5, 5).filter(bool))])
+    kind = draw(st.sampled_from(("multiple", "near", "any", "zero")))
+    if kind == "zero":
+        return IntPoly(), b
+    if kind == "any":
+        return IntPoly(draw(st.lists(st.integers(-40, 40), max_size=9))), b
+    a = b * IntPoly(draw(st.lists(small, max_size=5)))
+    if kind == "near":
+        a = a + IntPoly(draw(st.lists(st.integers(-2, 2), max_size=3)))
+    return a, b
+
+
+@settings(max_examples=300)
+@given(_division_cases())
+@example((IntPoly((1, 2)), IntPoly((1, 1, 1))))  # deg a < deg b
+@example((IntPoly((1, 3)), IntPoly((1, 2))))  # non-integral quotient
+@example((IntPoly((-3, 0, 6)), IntPoly((1, -2))))  # negative leading term
+@example((IntPoly((3, -5, -2)), IntPoly((1, -2))))  # ... dividing exactly
+def test_divide_exact_matches_the_fraction_oracle(case):
+    a, b = case
+    quot, has_rem = _divmod_int(a, b)
+    got = _divide_exact(a, b)
+    if quot is None or has_rem:
+        assert got is None
+    else:
+        assert got == quot
+    assert _divide_exact(a, IntPoly()) is None
+
+
 def test_split_examples():
     p7 = Q**4 * Q_MINUS_1**2
     s = split_qfactors(p7)
@@ -109,6 +193,9 @@ def test_split_reconstructs():
 
 _int_polys = st.lists(st.integers(-10**6, 10**6), min_size=1,
                       max_size=9).map(IntPoly)
+# c q^d, zero included, which powers without products
+_monomials = st.builds(lambda c, d: IntPoly([0] * d + [c]),
+                       st.integers(-50, 50), st.integers(0, 6))
 
 
 @given(_int_polys, st.integers(0, 4), st.integers(0, 4))
@@ -124,9 +211,20 @@ def test_split_round_trip(base, a, b):
         assert (s.a, s.b, s.r) == (a, b, base)
 
 
-@given(_int_polys, _int_polys, _int_polys, st.integers(-50, 50))
-def test_ring_laws(f, g, h, x):
+@given(_int_polys | _monomials, _int_polys | _monomials,
+       _int_polys | _monomials, st.integers(-50, 50), st.integers(0, 4))
+def test_ring_laws(f, g, h, x, e):
     zero, one = IntPoly(), IntPoly((1,))
+    assert zero ** 0 == one and Q ** 0 == one
+    assert IntPoly((0, 0, -2)) ** 3 == IntPoly((0,) * 6 + (-8,))
+    power = one
+    for _ in range(e):
+        power = power * f
+    assert f ** e == power
+    # normal form: no zero on top, and the zero polynomial is ()
+    for result in (f + g, f - g, g - f, -f, f * g, f ** e, 1 - f, f + 3):
+        assert not result.coeffs or result.coeffs[-1] != 0
+    assert (f - f).coeffs == ()
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f + g == g + f

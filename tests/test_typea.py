@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import pytest
@@ -189,6 +190,16 @@ def test_scan_finds_the_two_reducible_cases_to_n8():
     report = reducibility_scan(8)
     found = {lam.parts for lam, _ in report.reducible}
     assert found == {(3, 2, 1), (4, 3, 1)}
+
+
+def test_scan_to_n12_takes_the_pinned_certificate_routes():
+    # how each of the 271 R factors is decided: a change to the primes, the
+    # degree pruning or the Kronecker search moves these counts
+    report = reducibility_scan(12)
+    methods = collections.Counter(v.method for v in report.verdicts.values())
+    assert methods == {"mod-p": 116, "degree-set": 111, "unit": 23,
+                       "degree-1": 11, "kronecker": 9,
+                       "kronecker-exhausted": 1}
 
 
 def test_r_factors_of_the_conjugate_pair_432_and_3321():
