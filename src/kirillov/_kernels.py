@@ -42,6 +42,26 @@ pivot values are still read by a fancy index: taking them with the flat
 ``take`` that fetches the pivot rows saved 0.1 ms per column on its own,
 but nothing measurable over whole censuses.
 
+Every batch is held in the narrowest signed integer type that the checked
+bounds allow (``_narrowest_int``): over GF(p) ``dtype_for`` sizes it for
+m (p-1)^2, and over GF(p^k) ``FieldTables`` for max(q^2 - 1, n).  So the
+n = 4 type-A census over GF(8) and GF(9) runs on int8, and the 7 x 7 g2
+matrices over GF(7) on int16.  Each value formed in an array of the
+element type stays within that bound: decoded digits, assembled entries
+and table values are below q; in ``g2._predicted_batch`` sums,
+differences and products of residues are at most (p-1)^2; band products
+are at most (n-1)(p-1)^2; the delayed elimination stays within c (p-1)^2
+(see ``rank_batch``); gather indices are at most q^2 - 1; the log sums
+that build ``mul_t`` are at most 2(q-2); and ranks are at most min(r, c),
+which the rank kernels check, since over GF(p^k) nothing else bounds the
+size of a matrix.  The Python ints mixed into these arrays (q in
+``_gather``, p in ``% p``, the Chevalley coefficients once ``scale_int``
+has reduced them) fit too; under numpy 2 (NEP 50) one that did not would
+raise, not wrap.  On 32,768 matrices of 4 x 4 over GF(9),
+``power_rank_sequences`` took 8.2 ms on int32 and 4.4 ms on int8; on
+32,768 matrices of 7 x 7 over GF(7), 31.8 ms on int32 and 24.8 ms on
+int16 (2-vCPU Xeon, numpy 2.4).
+
 Both censuses run on ``run_census``: a family supplies a chunk function
 and its work units, and the engine deals them into shares and adds the
 tallies.  With several shares the calling process computes the first
@@ -89,11 +109,27 @@ def _check_indices_fit(q: int, dtype) -> None:
     _check_fits(q * q - 1, dtype, f"indices into {q} x {q} tables")
 
 
+def _check_ranks_fit(nrows: int, ncols: int, dtype) -> None:
+    """Raise unless ``dtype`` holds the rank of an nrows x ncols matrix."""
+    _check_fits(min(nrows, ncols), dtype,
+                f"ranks of {nrows} x {ncols} matrices")
+
+
+def _narrowest_int(bound: int):
+    """The first of int8, int16 and int32 that holds ``bound``, and int64
+    otherwise (which the checks above may still refuse)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def dtype_for(p: int, m: int):
     """The narrowest integer type that holds m * (p-1)^2: the largest sum a
-    mod-p matrix product with inner dimension m accumulates."""
-    fits32 = m * (p - 1) ** 2 <= np.iinfo(np.int32).max
-    dtype = np.int32 if fits32 else np.int64
+    mod-p matrix product with inner dimension m accumulates.  Every other
+    value the kernels form over GF(p) lies within it (see the module
+    docstring).  Raises OverflowError when even int64 does not hold it."""
+    dtype = _narrowest_int(m * (p - 1) ** 2)
     _check_products_fit(p, m, dtype)
     return dtype
 
@@ -176,7 +212,9 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     OverflowError unless c (p-1)^2 fits the dtype of ``mats``, whose
     entries must be field-encoded (residues in 0..p-1 for k = 1), so the
     batch is copied without a reduction.  For k > 1 it raises unless the
-    dtype holds the table indices x*q + y of the gathers.  A batch with
+    dtype holds the table indices x*q + y of the gathers.  For every q it
+    raises unless the dtype holds min(r, c), the largest rank, in which
+    the ranks are returned.  A batch with
     no nonzero entry (an empty batch, or one of the all-zero bands that
     ``power_rank_sequences`` ranks past the first zero power) has rank 0
     and is not eliminated; the zero test runs on the contiguous copy,
@@ -188,6 +226,7 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
         _check_products_fit(p, ncols, mats.dtype)
     else:
         _check_indices_fit(t.q, mats.dtype)
+    _check_ranks_fit(nrows, ncols, mats.dtype)
     a = mats.transpose(1, 2, 0).copy(order="C")
     rank = np.zeros(bsize, dtype=a.dtype)
     if not a.any():
@@ -274,7 +313,8 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     is taken on that band.  Powers come from ``_band_product``: integer
     multiply-adds reduced mod p for k = 1, table gathers for k > 1.
     Raises OverflowError when the products (k = 1) or the table indices
-    (k > 1) could overflow the dtype of ``mats``.
+    (k > 1) could overflow the dtype of ``mats``, or when it does not hold
+    n, which bounds the ranks; the sequences keep that dtype.
 
     The work runs batch-last, on ``mats.transpose(1, 2, 0)`` with shape
     (n, n, B), so numpy's inner loops run over the batch and not over
@@ -294,6 +334,7 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
         _check_products_fit(t.p, n, mats.dtype)
     else:
         _check_indices_fit(t.q, mats.dtype)
+    _check_ranks_fit(n, n, mats.dtype)
     x = mats.transpose(1, 2, 0)
     regular = np.ones(bsize, dtype=bool)
     for i in range(n - 1):
@@ -364,9 +405,9 @@ class FieldTables:
     are ``ctx.add`` and ``ctx.sub`` over every pair of elements, and
     products come from the discrete logarithms to a generator found with
     ``ctx.mul``.  ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the
-    size of the matrices the kernels will multiply; for k = 1 it sets the
-    integer type (see ``dtype_for``), for k > 1 the type only has to hold
-    the table indices.
+    size of the matrices the kernels will multiply.  For k = 1 the integer
+    type is ``dtype_for(p, n)``; for k > 1 it is the narrowest that holds
+    both the table indices x*q + y, up to q^2 - 1, and the ranks, up to n.
     """
 
     def __init__(self, ctx: FieldCtx, n: int = 1):
@@ -380,7 +421,7 @@ class FieldTables:
                 self.inv_t[x] = pow(x, -1, p)
             self.add_t = self.sub_t = self.mul_t = None
             return
-        self.dtype = np.int32 if q * q <= np.iinfo(np.int32).max else np.int64
+        self.dtype = _narrowest_int(max(q * q - 1, n))
         _check_indices_fit(q, self.dtype)
         elems = np.arange(q, dtype=self.dtype)
         self.add_t = ctx.add(elems[:, None], elems[None, :])

@@ -222,9 +222,12 @@ def poly_interpolate(points) -> IntPoly:
     interpolant has a non-integer coefficient, and raises
     NonIntegerCoefficients; a table of integers expands to integer
     coefficients.  Either way the samples come from an integer
-    polynomial of that degree exactly when this returns.
+    polynomial of that degree exactly when this returns.  Coordinates are
+    read as the constructor reads coefficients: any integer (bool, numpy
+    integer) is taken as a Python int, and a float, Fraction or string
+    raises TypeError rather than being truncated or parsed.
     """
-    pts = [(int(x), int(y)) for x, y in points]
+    pts = [(int(index(x)), int(index(y))) for x, y in points]
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa(f"duplicate abscissa in {sorted(xs)}")

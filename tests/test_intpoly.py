@@ -90,6 +90,21 @@ def test_interpolate_duplicate_abscissa():
         poly_interpolate([(0, 1), (0, 2), (1, 5)])
 
 
+@pytest.mark.parametrize("points", [[(0, 0.5), (1, 2.7)],
+                                    [(0.9, 1), ("2", 3)],
+                                    [(0, 1), (Fraction(2, 1), 3)],
+                                    [(np.float64(0), 1)]])
+def test_interpolate_rejects_non_integer_points(points):
+    # int() would truncate 0.5 to 0, 2.7 to 2 and 0.9 to 0 and parse "2"
+    with pytest.raises(TypeError):
+        poly_interpolate(points)
+
+
+def test_interpolate_takes_any_integer_point():
+    pts = [(True, np.int64(3)), (np.uint8(2), 7), (0, np.int8(1))]
+    assert poly_interpolate(pts) == IntPoly((1, 1, 1))
+
+
 def test_interpolate_non_integer():
     # three points of q/2-like data: no integer quadratic passes through
     with pytest.raises(NonIntegerCoefficients):

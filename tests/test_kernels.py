@@ -68,6 +68,17 @@ def test_dtype_switches_where_the_products_leave_int32():
         dtype_for(2**31, 28)
 
 
+@pytest.mark.parametrize("p, dtype", [(5, np.int8), (7, np.int16),
+                                      (67, np.int16), (71, np.int32)])
+def test_dtype_narrows_to_int8_and_int16_where_the_products_fit(p, dtype):
+    # 7 products of residues mod p: 112 (p = 5) fits int8 and 252 (p = 7)
+    # does not; 30,492 (p = 67) fits int16 and 34,300 (p = 71) does not
+    assert dtype_for(p, 7) is dtype
+    mats = np.full((1, 7, 7), p - 1, dtype=dtype)
+    worst = np.matmul(mats, mats)[0, 0, 0]
+    assert worst.dtype == dtype and int(worst) == 7 * (p - 1) ** 2
+
+
 def test_power_ranks_refuse_a_dtype_the_products_overflow():
     tables = FieldTables(make_prime_field(8761), 28)  # above the switch
     mats = np.zeros((1, 28, 28), dtype=np.int32)
@@ -106,11 +117,13 @@ def test_rank_batch_returns_all_zero_batches_without_eliminating(q):
         assert ranks.dtype == tables.dtype
 
 
-@pytest.mark.parametrize("p, dtype", [(8753, np.int32), (8761, np.int64)])
+@pytest.mark.parametrize("p, dtype", [(3, np.int8), (31, np.int16),
+                                      (37, np.int32), (8753, np.int32),
+                                      (8761, np.int64)])
 def test_rank_batch_is_exact_at_the_edge_of_its_dtype(p, dtype):
-    # 28 columns of residues mod p: the widest band the dtype holds (int32
-    # up to p = 8758, see above), dense enough that every entry
-    # accumulates many unreduced products
+    # 28 columns of residues mod p: the widest band the dtype holds (int8
+    # up to p = 3, int16 up to p = 35, int32 up to p = 8758, see above),
+    # dense enough that every entry accumulates many unreduced products
     ctx = make_prime_field(p)
     tables = FieldTables(ctx, 28)
     assert tables.dtype is dtype
@@ -192,7 +205,7 @@ def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
 def test_power_ranks_refuse_a_dtype_the_table_indices_overflow():
     # extension fields multiply by table gathers, not integer matmuls, so
     # the type only has to hold the indices x*q + y, whatever the size
-    assert FieldTables(field_of_order(25), 1000).dtype is np.int32
+    assert FieldTables(field_of_order(25), 1000).dtype is np.int16
     tables = FieldTables(field_of_order(125))  # indices up to 125^2 - 1
     with pytest.raises(OverflowError, match="int8"):
         power_rank_sequences(np.zeros((1, 3, 3), dtype=np.int8), tables)
@@ -219,6 +232,35 @@ def test_field_tables_size_the_dtype_by_the_embedded_dimension():
     ctx = make_prime_field(8761)
     assert FieldTables(ctx).dtype is np.int32
     assert FieldTables(ctx, 28).dtype is np.int64
+    # over GF(p^k) the type holds the table indices up to q^2 - 1 and the
+    # ranks up to n, each at the exact switch point
+    gf4 = field_of_order(4)
+    for n, dtype in ((127, np.int8), (128, np.int16), (2**15 - 1, np.int16),
+                     (2**15, np.int32), (2**31 - 1, np.int32),
+                     (2**31, np.int64)):
+        assert FieldTables(gf4, n).dtype is dtype
+    for q, dtype in ((9, np.int8), (16, np.int16), (169, np.int16),
+                     (243, np.int32)):
+        assert FieldTables(field_of_order(q), 7).dtype is dtype
+
+
+def test_ranks_beyond_the_element_type_raise_rather_than_wrap():
+    # over GF(4) the indices fit int8, but a rank of 130 does not: it
+    # would wrap to -126
+    ctx = field_of_order(4)
+    tables = FieldTables(ctx, 130)
+    assert tables.dtype is np.int16
+    eye = np.eye(130, dtype=np.int8)[None]
+    with pytest.raises(OverflowError, match="int8"):
+        rank_batch(eye, tables)
+    assert rank_batch(eye.astype(tables.dtype), tables).tolist() == [130]
+    # two nilpotent Jordan blocks of size 65: X^i has rank 2 (65 - i)
+    blocks = np.eye(130, k=1, dtype=np.int8)
+    blocks[64, 65] = 0
+    with pytest.raises(OverflowError, match="int8"):
+        power_rank_sequences(blocks[None], tables)
+    seqs = power_rank_sequences(blocks[None].astype(tables.dtype), tables)
+    assert seqs.tolist() == [[2 * max(65 - i, 0) for i in range(1, 130)]]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49])
