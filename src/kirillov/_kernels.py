@@ -42,22 +42,27 @@ pivot values are still read by a fancy index: taking them with the flat
 ``take`` that fetches the pivot rows saved 0.1 ms per column on its own,
 but nothing measurable over whole censuses.
 
-Every batch is held in the narrowest signed integer type that the checked
-bounds allow (``_narrowest_int``): over GF(p) ``dtype_for`` sizes it for
-m (p-1)^2, and over GF(p^k) ``FieldTables`` for max(q^2 - 1, n).  So the
-n = 4 type-A census over GF(8) and GF(9) runs on int8, and the 7 x 7 g2
-matrices over GF(7) on int16.  Each value formed in an array of the
-element type stays within that bound: decoded digits, assembled entries
-and table values are below q; in ``g2._predicted_batch`` sums,
+Every limit on the element type is one number, ``FieldTables.bound(m)``:
+the largest value any kernel forms on matrices with m columns, m (p-1)^2
+over GF(p) and max(q^2 - 1, m) over GF(p^k).  Each value formed in an
+array of the element type stays within it: decoded digits, assembled
+entries and table values are below q; in ``g2._predicted_batch`` sums,
 differences and products of residues are at most (p-1)^2; band products
 are at most (n-1)(p-1)^2; the delayed elimination stays within c (p-1)^2
 (see ``rank_batch``); gather indices are at most q^2 - 1; the log sums
-that build ``mul_t`` are at most 2(q-2); and ranks are at most min(r, c),
-which the rank kernels check, since over GF(p^k) nothing else bounds the
-size of a matrix.  The Python ints mixed into these arrays (q in
-``_gather``, p in ``% p``, the Chevalley coefficients once ``scale_int``
-has reduced them) fit too; under numpy 2 (NEP 50) one that did not would
-raise, not wrap.  On 32,768 matrices of 4 x 4 over GF(9),
+that build ``mul_t`` are at most 2(q-2); and ranks are at most m.
+``FieldTables`` holds every batch in the narrowest signed integer type
+that holds ``bound(n)`` (``_narrowest_int``), so the n = 4 type-A census
+over GF(8) and GF(9) runs on int8, and the 7 x 7 g2 matrices over GF(7)
+on int16.  Both rank kernels raise OverflowError unless the type of their
+input holds ``bound`` of its column count, so a wide matrix over GF(p^k)
+is refused even when its ranks would fit.  The two kernels around them
+check their own limits: ``decode_mixed_radix`` raises unless its type
+holds the largest digit, and ``encode_sequences`` unless each sequence
+fits its 64-bit key.  The Python ints mixed into these arrays
+(q in ``_gather``, p in ``% p``, the Chevalley coefficients once
+``scale_int`` has reduced them) fit too; under numpy 2 (NEP 50) one that
+did not would raise, not wrap.  On 32,768 matrices of 4 x 4 over GF(9),
 ``power_rank_sequences`` took 8.2 ms on int32 and 4.4 ms on int8; on
 32,768 matrices of 7 x 7 over GF(7), 31.8 ms on int32 and 24.8 ms on
 int16 (2-vCPU Xeon, numpy 2.4).
@@ -92,46 +97,23 @@ def _check_fits(bound: int, dtype, what: str) -> None:
         raise OverflowError(f"{what} overflow {np.dtype(dtype).name}")
 
 
-def _check_products_fit(p: int, m: int, dtype) -> None:
-    """Raise unless a sum of m products of residues mod p fits ``dtype``.
-
-    A matrix product over GF(p) with inner dimension m accumulates up to
-    m * (p-1)^2 before it is reduced, and the numpy product is exact only
-    while that stays inside the integer type.
-    """
-    _check_fits(m * (p - 1) ** 2, dtype,
-                f"{m} products of residues mod {p}")
-
-
-def _check_indices_fit(q: int, dtype) -> None:
-    """Raise unless ``dtype`` holds x*q + y for field elements x, y: the
-    index of a gather from a flattened q x q table."""
-    _check_fits(q * q - 1, dtype, f"indices into {q} x {q} tables")
-
-
-def _check_ranks_fit(nrows: int, ncols: int, dtype) -> None:
-    """Raise unless ``dtype`` holds the rank of an nrows x ncols matrix."""
-    _check_fits(min(nrows, ncols), dtype,
-                f"ranks of {nrows} x {ncols} matrices")
-
-
-def _narrowest_int(bound: int):
-    """The first of int8, int16 and int32 that holds ``bound``, and int64
-    otherwise (which the checks above may still refuse)."""
+def _narrowest_int(bound: int, what: str):
+    """The first of int8, int16, int32 and int64 that holds ``bound``.
+    Raises OverflowError, naming ``what``, when even int64 does not."""
     for dtype in (np.int8, np.int16, np.int32):
         if bound <= np.iinfo(dtype).max:
             return dtype
+    _check_fits(bound, np.int64, what)
     return np.int64
 
 
 def dtype_for(p: int, m: int):
-    """The narrowest integer type that holds m * (p-1)^2: the largest sum a
-    mod-p matrix product with inner dimension m accumulates.  Every other
-    value the kernels form over GF(p) lies within it (see the module
-    docstring).  Raises OverflowError when even int64 does not hold it."""
-    dtype = _narrowest_int(m * (p - 1) ** 2)
-    _check_products_fit(p, m, dtype)
-    return dtype
+    """The narrowest integer type that holds m * (p-1)^2, the largest sum a
+    mod-p matrix product with inner dimension m accumulates and, for a
+    prime p, ``FieldTables.bound(m)``.  Raises OverflowError when even
+    int64 does not hold it."""
+    return _narrowest_int(m * (p - 1) ** 2,
+                          f"{m} products of residues mod {p}")
 
 
 def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
@@ -150,11 +132,13 @@ def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
     column repeats each block's digit over the part of the block inside
     the range.  Work and memory stay O(count * width) however large
     radix**width is.  Raises ValueError unless radix >= 2, width >= 0 and
-    0 <= start <= stop <= radix**width.
+    0 <= start <= stop <= radix**width, and OverflowError unless ``dtype``
+    holds radix - 1, the largest digit.
     """
     if radix < 2 or width < 0 or not 0 <= start <= stop <= radix**width:
         raise ValueError(f"no range {start}..{stop} of {width} digits in "
                          f"radix {radix}")
+    _check_fits(radix - 1, dtype, f"digits in radix {radix}")
     count = stop - start
     digits = np.empty((width, count), dtype=dtype)
     weight = 1
@@ -208,25 +192,20 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     FFLAS-FFPACK): only the current column and the pivot row are reduced,
     for the zero test and the update factors, while the trailing block
     is not.  Each column subtracts at most (p-1)^2 from an entry, so over
-    c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero.  Raises
-    OverflowError unless c (p-1)^2 fits the dtype of ``mats``, whose
-    entries must be field-encoded (residues in 0..p-1 for k = 1), so the
-    batch is copied without a reduction.  For k > 1 it raises unless the
-    dtype holds the table indices x*q + y of the gathers.  For every q it
-    raises unless the dtype holds min(r, c), the largest rank, in which
-    the ranks are returned.  A batch with
-    no nonzero entry (an empty batch, or one of the all-zero bands that
-    ``power_rank_sequences`` ranks past the first zero power) has rank 0
-    and is not eliminated; the zero test runs on the contiguous copy,
-    which costs far less than on a strided band.
+    c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero, which is
+    below ``t.bound(c)``.  The entries of ``mats`` must be field-encoded
+    (residues in 0..p-1 for k = 1), so the batch is copied without a
+    reduction.  Raises OverflowError unless the dtype of ``mats`` holds
+    ``t.bound(c)``; the ranks, at most c, are returned in that dtype.  A
+    batch with no nonzero entry (an empty batch, or one of the all-zero
+    bands that ``power_rank_sequences`` ranks past the first zero power)
+    has rank 0 and is not eliminated; the zero test runs on the
+    contiguous copy, which costs far less than on a strided band.
     """
     p, prime = t.p, t.k == 1
     bsize, nrows, ncols = mats.shape
-    if prime:
-        _check_products_fit(p, ncols, mats.dtype)
-    else:
-        _check_indices_fit(t.q, mats.dtype)
-    _check_ranks_fit(nrows, ncols, mats.dtype)
+    _check_fits(t.bound(ncols), mats.dtype,
+                f"GF({t.q}) values on {ncols} columns")
     a = mats.transpose(1, 2, 0).copy(order="C")
     rank = np.zeros(bsize, dtype=a.dtype)
     if not a.any():
@@ -286,8 +265,8 @@ def _band_product(t: "FieldTables", power: np.ndarray, base: np.ndarray,
     r + i - 1 <= l < c, so term l touches only rows r <= l - i + 1 and
     columns c > l.  For k = 1 the terms are added as integers and reduced
     mod p once at the end (at most n - 1 products of residues, which
-    ``power_rank_sequences`` checks the dtype holds); for k > 1 every
-    product and sum is a table gather.
+    ``t.bound(n)`` covers); for k > 1 every product and sum is a table
+    gather.
     """
     n = base.shape[0]
     out = np.zeros((n - i, n, base.shape[2]), dtype=base.dtype)
@@ -312,9 +291,8 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     product keeps only the rows that can still be nonzero and each rank
     is taken on that band.  Powers come from ``_band_product``: integer
     multiply-adds reduced mod p for k = 1, table gathers for k > 1.
-    Raises OverflowError when the products (k = 1) or the table indices
-    (k > 1) could overflow the dtype of ``mats``, or when it does not hold
-    n, which bounds the ranks; the sequences keep that dtype.
+    Raises OverflowError unless the dtype of ``mats`` holds ``t.bound(n)``;
+    the sequences keep that dtype.
 
     The work runs batch-last, on ``mats.transpose(1, 2, 0)`` with shape
     (n, n, B), so numpy's inner loops run over the batch and not over
@@ -330,11 +308,7 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     is ranked as an all-zero band of its shape.
     """
     bsize, _, n = mats.shape
-    if t.k == 1:
-        _check_products_fit(t.p, n, mats.dtype)
-    else:
-        _check_indices_fit(t.q, mats.dtype)
-    _check_ranks_fit(n, n, mats.dtype)
+    _check_fits(t.bound(n), mats.dtype, f"GF({t.q}) values on {n} columns")
     x = mats.transpose(1, 2, 0)
     regular = np.ones(bsize, dtype=bool)
     for i in range(n - 1):
@@ -357,10 +331,15 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
 
 
 def encode_sequences(seqs: np.ndarray) -> np.ndarray:
-    """Pack small rank sequences into single ints (4 bits per entry).
+    """Pack rank sequences into single int64 keys (4 bits per entry).
 
-    Raises OverflowError for a rank outside 0..15, which 4 bits cannot hold.
+    Raises OverflowError for more than 16 entries, the first of which would
+    be shifted out of the key, and for a rank outside 0..15, which 4 bits
+    cannot hold.
     """
+    if seqs.shape[1] > 16:
+        raise OverflowError(f"{seqs.shape[1]} ranks do not fit a 64-bit key "
+                            f"of 4-bit fields")
     if seqs.size and (seqs.min() < 0 or seqs.max() > 15):
         raise OverflowError(f"ranks {int(seqs.min())}..{int(seqs.max())} do "
                             f"not fit the 4-bit packing")
@@ -405,9 +384,8 @@ class FieldTables:
     are ``ctx.add`` and ``ctx.sub`` over every pair of elements, and
     products come from the discrete logarithms to a generator found with
     ``ctx.mul``.  ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the
-    size of the matrices the kernels will multiply.  For k = 1 the integer
-    type is ``dtype_for(p, n)``; for k > 1 it is the narrowest that holds
-    both the table indices x*q + y, up to q^2 - 1, and the ranks, up to n.
+    size of the matrices the kernels will multiply, and the integer type is
+    the narrowest that holds ``bound(n)`` (``dtype_for(p, n)`` for k = 1).
     """
 
     def __init__(self, ctx: FieldCtx, n: int = 1):
@@ -421,8 +399,8 @@ class FieldTables:
                 self.inv_t[x] = pow(x, -1, p)
             self.add_t = self.sub_t = self.mul_t = None
             return
-        self.dtype = _narrowest_int(max(q * q - 1, n))
-        _check_indices_fit(q, self.dtype)
+        self.dtype = _narrowest_int(self.bound(n),
+                                    f"GF({q}) values on {n} columns")
         elems = np.arange(q, dtype=self.dtype)
         self.add_t = ctx.add(elems[:, None], elems[None, :])
         self.sub_t = ctx.sub(elems[:, None], elems[None, :])
@@ -433,6 +411,16 @@ class FieldTables:
         self.mul_t[0, :] = self.mul_t[:, 0] = 0
         self.inv_t = np.zeros(q, dtype=self.dtype)
         self.inv_t[1:] = exp[-log[1:] % (q - 1)]
+
+    def bound(self, m: int) -> int:
+        """The largest value any kernel forms on matrices with m columns:
+        m (p-1)^2 over GF(p), which covers the products and the delayed
+        elimination, and max(q^2 - 1, m) over GF(p^k), which covers the
+        table indices x*q + y.  Either way it covers the ranks, at most m.
+        """
+        if self.k == 1:
+            return m * (self.p - 1) ** 2
+        return max(self.q * self.q - 1, m)
 
     # vectorized field ops on integer-encoded arrays -----------------------
 

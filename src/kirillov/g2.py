@@ -439,10 +439,9 @@ def _g2_chunk(ctx: FieldCtx, slices: list) -> dict:
                 mats[i, j] = tables.scale_int(coeff, params[param])
             seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                         tables)
-            actual_keys = encode_sequences(seqs)
             pred = _predicted_batch(tables, a_val, f_val,
                                     b_arr, c_arr, d_arr, e_arr)
-            bad = actual_keys != encode_sequences(pred)
+            bad = (seqs != pred).any(axis=1)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise PredicateMismatch(
@@ -451,7 +450,8 @@ def _g2_chunk(ctx: FieldCtx, slices: list) -> dict:
                     f"{int(e_arr[i])},{f_val}): predicted "
                     f"{tuple(int(x) for x in pred[i])}, "
                     f"computed {tuple(int(x) for x in seqs[i])}")
-            tally_keys(tally, actual_keys, DIM - 1, weight, (case,))
+            tally_keys(tally, encode_sequences(seqs), DIM - 1, weight,
+                       (case,))
     return tally
 
 

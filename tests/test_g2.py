@@ -326,6 +326,24 @@ def test_census_checks_the_predicate_on_both_routes(monkeypatch, exhaustive):
         g2_census(make_prime_field(5), exhaustive=exhaustive)
 
 
+def test_census_checks_every_rank_of_the_predicate(monkeypatch):
+    # wrong only in rank X^2: a census that compared rank X alone, or any
+    # one column, would pass this predicate
+    import kirillov.g2 as g2mod
+
+    original = g2mod._predicted_batch
+
+    def wrong_rank_of_the_square(t, a, f, b, c, d, e):
+        out = original(t, a, f, b, c, d, e)
+        if (a, f) == (0, 1):
+            out[-1, 1] = 3 - out[-1, 1]  # 0, 1, 2 -> 3, 2, 1
+        return out
+
+    monkeypatch.setattr(g2mod, "_predicted_batch", wrong_rank_of_the_square)
+    with pytest.raises(PredicateMismatch, match=r"=\(0,4,4,4,4,1\)"):
+        g2_census(make_prime_field(5), exhaustive=False)
+
+
 def test_census_budget_counts_tuples_on_the_chosen_route():
     ctx = make_prime_field(5)
     assert g2_census(ctx, budget=4 * 5**4, exhaustive=False).total == 5**6

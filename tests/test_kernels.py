@@ -263,6 +263,24 @@ def test_ranks_beyond_the_element_type_raise_rather_than_wrap():
     assert seqs.tolist() == [[2 * max(65 - i, 0) for i in range(1, 130)]]
 
 
+def test_one_bound_covers_products_indices_and_ranks():
+    # GF(p): the products of m residues; GF(p^k): the table indices up to
+    # q^2 - 1, or the ranks once m is larger
+    assert FieldTables(make_prime_field(7), 7).bound(7) == 7 * 36
+    assert FieldTables(make_prime_field(2)).bound(130) == 130
+    gf4 = FieldTables(field_of_order(4), 200)
+    assert gf4.bound(5) == 15 and gf4.bound(200) == 200
+    assert gf4.dtype is np.int16
+    # a wide batch is refused on its column count even where its ranks,
+    # at most 5, and its indices would fit int8
+    mats = np.zeros((2, 5, 200), dtype=np.int8)
+    mats[0, :, :5] = np.eye(5, dtype=np.int8)
+    mats[1, 0, 199] = 1
+    with pytest.raises(OverflowError, match="200 columns overflow int8"):
+        rank_batch(mats, gf4)
+    assert rank_batch(mats.astype(np.int16), gf4).tolist() == [5, 1]
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49])
 def test_field_tables_match_the_field_arithmetic(q):
     ctx = field_of_order(q)
@@ -301,6 +319,23 @@ def test_rank_sequence_packing_round_trip_and_range():
     for bad in (16, -1):
         with pytest.raises(OverflowError, match="4-bit"):
             encode_sequences(np.array([[1, bad]], dtype=np.int32))
+
+
+def test_rank_sequence_packing_refuses_more_ranks_than_the_key_holds():
+    # 17 ranks of 4 bits would shift the first out of the int64 key, so
+    # (1, 0, ..., 0) and (0, ..., 0) would share key 0 and their tallies
+    # would merge
+    seqs = np.zeros((2, 17), dtype=np.int8)
+    seqs[0, 0] = 1
+    with pytest.raises(OverflowError, match="17 ranks"):
+        encode_sequences(seqs)
+    # 16 ranks fill the key; a first rank of 15 sets its sign bit
+    edge = np.array([list(range(15, -1, -1)), [15] + [0] * 15,
+                     [0] * 15 + [15], [0] * 16], dtype=np.int8)
+    keys = encode_sequences(edge)
+    assert keys[0] < 0 and keys[1] < 0 and len(set(keys.tolist())) == 4
+    assert ([decode_sequence(int(k), 16) for k in keys]
+            == [tuple(row) for row in edge.tolist()])
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -579,6 +614,18 @@ def test_decode_mixed_radix_refuses_a_range_outside_its_space(start, stop,
                                                               radix, width):
     with pytest.raises(ValueError, match="radix"):
         decode_mixed_radix(start, stop, radix, width, np.int32)
+
+
+def test_decode_mixed_radix_refuses_a_dtype_its_digits_overflow():
+    # digits in radix 200 reach 199, past int8, where 999 = 4 * 200 + 199
+    # would decode to [4, -57]; the check does not depend on the range
+    for start, stop in ((0, 1000), (0, 10)):
+        with pytest.raises(OverflowError, match="int8"):
+            decode_mixed_radix(start, stop, 200, 2, np.int8)
+    digits = decode_mixed_radix(0, 1000, 200, 2, np.int16)
+    assert digits.dtype == np.int16
+    assert digits.tolist() == [list(divmod(k, 200)) for k in range(1000)]
+    assert decode_mixed_radix(0, 256, 128, 2, np.int8).max() == 127
 
 
 def _tilings(calls: list) -> int:
