@@ -6,13 +6,13 @@ Prime fields work directly on residues mod p: products are integer
 multiply-adds reduced mod p once per power, and elimination subtracts in
 place and delays the reduction of the trailing block (see ``rank_batch``
 for the bound that keeps it exact).  Extension fields GF(p^k) work on
-the same n x n matrices: every sum, difference, product and inverse is a
-gather from a table that ``FieldTables`` builds once per field (the
-table-lookup arithmetic of small-field linear algebra libraries).  Both
-run the same lockstep elimination, which never swaps rows but tracks the
-rows still without a pivot, so the batched route computes the same ranks
-as the exact reference implementation in ``fields`` (cross-checked in
-the tests).
+the same n x n matrices: every sum, difference and product is a gather
+from a table that ``FieldTables`` builds once per field (the
+table-lookup arithmetic of small-field linear algebra libraries).
+Inverses are a gather for every q.  Both run the same lockstep
+elimination, which never swaps rows but tracks the rows still without a
+pivot, so the batched route computes the same ranks as the exact
+reference implementation in ``fields`` (cross-checked in the tests).
 
 All matrices fed in here are strictly upper triangular, so the i-th
 power is supported on the band column - row >= i; products and ranks
@@ -105,15 +105,6 @@ def _narrowest_int(bound: int, what: str):
             return dtype
     _check_fits(bound, np.int64, what)
     return np.int64
-
-
-def dtype_for(p: int, m: int):
-    """The narrowest integer type that holds m * (p-1)^2, the largest sum a
-    mod-p matrix product with inner dimension m accumulates and, for a
-    prime p, ``FieldTables.bound(m)``.  Raises OverflowError when even
-    int64 does not hold it."""
-    return _narrowest_int(m * (p - 1) ** 2,
-                          f"{m} products of residues mod {p}")
 
 
 def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
@@ -363,7 +354,7 @@ def _generator_powers(ctx: FieldCtx) -> np.ndarray:
     Each walk stops after q - 1 steps, so a ``ctx.mul`` that is not a field
     product raises NotAField instead of walking forever.
     """
-    for g in range(2, ctx.q):
+    for g in range(1, ctx.q):
         powers = [1]
         x = g
         while x != 1 and len(powers) < ctx.q - 1:
@@ -378,39 +369,33 @@ def _generator_powers(ctx: FieldCtx) -> np.ndarray:
 class FieldTables:
     """Lookup tables for vectorized arithmetic in GF(q), q = p^k.
 
-    Arrays hold field-encoded elements.  For k = 1 the helpers are plain
-    residue arithmetic mod p.  For k > 1 every operation is a gather from
-    a q x q table (``add_t``, ``sub_t``, ``mul_t``): sums and differences
-    are ``ctx.add`` and ``ctx.sub`` over every pair of elements, and
-    products come from the discrete logarithms to a generator found with
-    ``ctx.mul``.  ``inv_t`` (size q, 0 -> 0) serves both.  ``n`` is the
-    size of the matrices the kernels will multiply, and the integer type is
-    the narrowest that holds ``bound(n)`` (``dtype_for(p, n)`` for k = 1).
+    Arrays hold field-encoded elements in the narrowest integer type that
+    holds ``bound(n)``, n being the size of the matrices the kernels will
+    multiply; it is checked before any table is built.  For every q,
+    ``inv_t`` (0 -> 0) comes from the discrete logarithms to a generator
+    found with ``ctx.mul``.  For k = 1 the other helpers are residue
+    arithmetic mod p; for k > 1 they gather from q x q tables: ``add_t``
+    and ``sub_t`` are ``ctx.add`` and ``ctx.sub`` on every pair, and
+    ``mul_t`` comes from the logarithms.
     """
 
     def __init__(self, ctx: FieldCtx, n: int = 1):
-        self.ctx = ctx
-        q, k, p = ctx.q, ctx.k, ctx.p
-        self.q, self.k, self.p = q, k, p
-        if k == 1:
-            self.dtype = dtype_for(p, n)
-            self.inv_t = np.zeros(p, dtype=self.dtype)
-            for x in range(1, p):
-                self.inv_t[x] = pow(x, -1, p)
-            self.add_t = self.sub_t = self.mul_t = None
-            return
+        q, k = ctx.q, ctx.k
+        self.q, self.k, self.p = q, k, ctx.p
         self.dtype = _narrowest_int(self.bound(n),
                                     f"GF({q}) values on {n} columns")
-        elems = np.arange(q, dtype=self.dtype)
-        self.add_t = ctx.add(elems[:, None], elems[None, :])
-        self.sub_t = ctx.sub(elems[:, None], elems[None, :])
         exp = _generator_powers(ctx).astype(self.dtype)
         log = np.zeros(q, dtype=self.dtype)
         log[exp] = np.arange(q - 1)
-        self.mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)]
-        self.mul_t[0, :] = self.mul_t[:, 0] = 0
         self.inv_t = np.zeros(q, dtype=self.dtype)
         self.inv_t[1:] = exp[-log[1:] % (q - 1)]
+        self.add_t = self.sub_t = self.mul_t = None
+        if k > 1:
+            elems = np.arange(q, dtype=self.dtype)
+            self.add_t = ctx.add(elems[:, None], elems[None, :])
+            self.sub_t = ctx.sub(elems[:, None], elems[None, :])
+            self.mul_t = exp[(log[:, None] + log[None, :]) % (q - 1)]
+            self.mul_t[0, :] = self.mul_t[:, 0] = 0
 
     def bound(self, m: int) -> int:
         """The largest value any kernel forms on matrices with m columns:

@@ -1,11 +1,11 @@
 """Finite fields GF(p^k) and exact dense matrix algebra over them.
 
-Elements are encoded as integers 0..q-1.  For prime fields the encoding
-is the residue itself; for extension fields the base-p digits of the
+Elements are encoded as integers 0..q-1.  The k base-p digits of the
 encoding are the coefficients of a degree-<k polynomial, reduced modulo a
 monic irreducible modulus found by deterministic search (smallest
-canonical encoding first).  Everything is exact; there is no tolerance
-anywhere.
+canonical encoding first); for prime fields the one digit is the residue
+itself, and every operation but the product follows the same rule for
+any k.  Everything is exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -42,20 +42,16 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, x, y):
-        """x + y on ints, or elementwise on integer numpy arrays (which
-        broadcast); ``FieldTables`` builds its sum table this way."""
+        """x + y, digit by digit mod p, on ints or integer numpy arrays
+        (broadcast); ``FieldTables`` builds its sum table this way."""
         p, k = self.p, self.k
-        if k == 1:
-            return (x + y) % p
         return _from_digits([(a + b) % p for a, b
                              in zip(_digits(x, p, k), _digits(y, p, k))], p)
 
     def sub(self, x, y):
-        """x - y on ints, or elementwise on integer numpy arrays (which
-        broadcast); ``FieldTables`` builds its difference table this way."""
+        """x - y, digit by digit mod p, on ints or integer numpy arrays
+        (broadcast); ``FieldTables`` builds its difference table this way."""
         p, k = self.p, self.k
-        if k == 1:
-            return (x - y) % p
         return _from_digits([(a - b) % p for a, b
                              in zip(_digits(x, p, k), _digits(y, p, k))], p)
 
@@ -73,15 +69,15 @@ class FieldCtx:
         return self.mul(self.from_int(m), x)
 
     def inv(self, x: int) -> int:
-        """Multiplicative inverse of a nonzero element: `pow(x, -1, p)` in a
-        prime field, and x^(q-2) in an extension, since x^(q-1) = 1."""
+        """Multiplicative inverse of a nonzero element: x^(q-2), since
+        x^(q-1) = 1 (Fermat's little theorem when q = p)."""
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.k == 1:
-            return pow(x, -1, self.p)
         return self.pow(x, self.q - 2)
 
     def pow(self, x: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative exponent")
         result = 1
         base = x
         while e:
@@ -96,15 +92,14 @@ class FieldCtx:
     def quadratic_character(self, x: int) -> int:
         """1 for nonzero squares, -1 for non-squares, 0 for zero.
 
-        Prime fields use the Euler criterion directly; extensions reduce
-        to the prime subfield through the norm map x -> x^((q-1)/(p-1)).
+        x is a square in GF(q) exactly when its norm x^((q-1)/(p-1)) is a
+        square in GF(p), which the Euler criterion decides; when q = p the
+        norm is x itself.
         """
         if x == 0:
             return 0
         if self.p == 2:
             return 1
-        if self.k == 1:
-            return 1 if pow(x, (self.p - 1) // 2, self.p) == 1 else -1
         norm = self.pow(x, (self.q - 1) // (self.p - 1))
         return 1 if pow(norm, (self.p - 1) // 2, self.p) == 1 else -1
 

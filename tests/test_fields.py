@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def test_digit_codec_round_trips_on_ints_and_arrays():
     assert back.dtype == np.int32 and back.tolist() == elems.tolist()
 
 
-@pytest.mark.parametrize("q", [4, 9, 25, 49])
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 9, 25, 49])
 def test_sums_and_differences_broadcast_over_arrays(q):
     # FieldTables builds its sum and difference tables this way
     ctx = field_of_order(q)
@@ -167,6 +169,23 @@ def test_quadratic_character_matches_explicit_squares():
                 assert char == 1
             else:
                 assert char == -1
+
+
+@pytest.mark.parametrize("q, e", [(7, -1), (9, -2)])
+def test_pow_refuses_a_negative_exponent(q, e):
+    # halving a negative exponent never reaches 0, so a loop that accepted
+    # one would not return; the alarm turns such a hang into a failure
+    def hung(signum, frame):
+        raise TimeoutError(f"GF({q}).pow(3, {e}) did not return in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="negative exponent"):
+            field_of_order(q).pow(3, e)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rank_basic():

@@ -16,7 +16,6 @@ from kirillov._kernels import (
     _generator_powers,
     decode_mixed_radix,
     decode_sequence,
-    dtype_for,
     encode_sequences,
     power_rank_sequences,
     rank_batch,
@@ -53,19 +52,20 @@ def _random_rows(rng, q: int, nrows: int, ncols: int, upper: bool):
 
 def test_dtype_switches_where_the_products_leave_int32():
     # a mod-p product of 28 x 28 matrices: int32 holds 28 (p-1)^2 up to
-    # p = 8758, well short of 9000
+    # p = 8758, between the primes 8753 and 8761, and well short of 8999
     m = 28
     assert m * 8757**2 < 2**31 <= m * 8758**2
-    assert dtype_for(8758, m) is np.int32
-    assert dtype_for(8759, m) is np.int64
-    assert dtype_for(8999, m) is np.int64
-    assert dtype_for(8999, 7) is np.int32
+    assert FieldTables(make_prime_field(8753), m).dtype is np.int32
+    assert FieldTables(make_prime_field(8761), m).dtype is np.int64
+    assert FieldTables(make_prime_field(8999), m).dtype is np.int64
+    assert FieldTables(make_prime_field(8999), 7).dtype is np.int32
     # the worst case at the switch point is exact in the chosen type
-    for p in (8758, 8759):
-        mats = np.full((1, m, m), p - 1, dtype=dtype_for(p, m))
+    for p in (8753, 8761):
+        mats = np.full((1, m, m), p - 1,
+                       dtype=FieldTables(make_prime_field(p), m).dtype)
         assert int(np.matmul(mats, mats)[0, 0, 0]) == m * (p - 1) ** 2
     with pytest.raises(OverflowError):
-        dtype_for(2**31, 28)
+        FieldTables(make_prime_field(2**31 - 1), 28)
 
 
 @pytest.mark.parametrize("p, dtype", [(5, np.int8), (7, np.int16),
@@ -73,10 +73,26 @@ def test_dtype_switches_where_the_products_leave_int32():
 def test_dtype_narrows_to_int8_and_int16_where_the_products_fit(p, dtype):
     # 7 products of residues mod p: 112 (p = 5) fits int8 and 252 (p = 7)
     # does not; 30,492 (p = 67) fits int16 and 34,300 (p = 71) does not
-    assert dtype_for(p, 7) is dtype
+    assert FieldTables(make_prime_field(p), 7).dtype is dtype
     mats = np.full((1, 7, 7), p - 1, dtype=dtype)
     worst = np.matmul(mats, mats)[0, 0, 0]
     assert worst.dtype == dtype and int(worst) == 7 * (p - 1) ** 2
+
+
+def test_field_tables_check_the_bound_before_building_a_table(monkeypatch):
+    # a walk over the 2^31 - 1 (or 2^32) elements would take minutes and
+    # gigabytes; the element type is refused before it starts
+    import kirillov._kernels as kernels
+
+    def walk(ctx):
+        raise AssertionError(f"GF({ctx.q}) was walked before its bound "
+                             f"was checked")
+
+    monkeypatch.setattr(kernels, "_generator_powers", walk)
+    with pytest.raises(OverflowError, match="int64"):
+        FieldTables(make_prime_field(2**31 - 1), 28)
+    with pytest.raises(OverflowError, match="int64"):
+        FieldTables(FieldCtx(2, 32))
 
 
 def test_power_ranks_refuse_a_dtype_the_products_overflow():
@@ -293,6 +309,22 @@ def test_field_tables_match_the_field_arithmetic(q):
             assert t.mul_t[x, y] == ctx.mul(x, y)
         for m in (-4, 3, ctx.p + 2):
             assert t.scale_int(m, x) == ctx.scale_int(m, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_tables_match_the_field_arithmetic(p):
+    # over GF(p) the inverses come from the generator's logarithms, as over
+    # GF(p^k); GF(2) has the generator 1, whose only power is g^0
+    ctx = make_prime_field(p)
+    t = FieldTables(ctx)
+    assert t.inv_t[0] == 0
+    for x in range(1, p):
+        assert t.inv_t[x] == ctx.inv(x) == pow(x, -1, p)
+    for x in range(p):
+        for m in (-4, 3, p + 2):
+            assert t.scale_int(m, x) == ctx.scale_int(m, x)
+    if p == 2:
+        assert _generator_powers(ctx).tolist() == [1]
 
 
 def test_generator_search_raises_on_a_product_that_is_not_a_field():
