@@ -85,7 +85,7 @@ import os
 
 import numpy as np
 
-from .errors import NotAField, TooLarge
+from .errors import NotAField
 from .fields import FieldCtx
 
 DEFAULT_BUDGET = 200_000_000
@@ -445,12 +445,6 @@ class FieldTables:
 # ---------------------------------------------------------------------------
 # the census engine
 # ---------------------------------------------------------------------------
-
-
-def check_budget(space: int, budget: int, what: str) -> None:
-    """Raise TooLarge when a census would enumerate more than ``budget``."""
-    if space > budget:
-        raise TooLarge(f"{space} {what} exceed the budget {budget}")
 
 
 def tally_keys(tally: dict, keys: np.ndarray, length: int, weight: int = 1,

@@ -80,7 +80,7 @@ def _cmd_typea_poly(args):
 def _cmd_typea_census(args):
     ctx = field_of_order(args.q)
     counts = brute_force_census(args.n, ctx, workers=args.workers,
-                                budget=args.budget, max_n=max(args.n, 6))
+                                budget=args.budget)
     expected = {lam: kirillov_recursion(lam)(args.q)
                 for lam in partitions_of(args.n)}
     expected = {lam: v for lam, v in expected.items() if v}
@@ -100,7 +100,7 @@ def _cmd_typea_census(args):
 
 
 def _cmd_typea_scan(args):
-    report = reducibility_scan(args.n_max, max_n=max(args.n_max, 12))
+    report = reducibility_scan(args.n_max)
     reducible = [
         {
             "partition": lam.text(),

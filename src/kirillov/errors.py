@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its budget check."""
 
 
 class NotPrime(ValueError):
@@ -43,6 +43,12 @@ class InsufficientPoints(ValueError):
 
 class TooLarge(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
+
+
+def check_budget(space: int, budget: int, what: str) -> None:
+    """Raise TooLarge when a computation would take more than ``budget``."""
+    if space > budget:
+        raise TooLarge(f"{space} {what} exceed the budget {budget}")
 
 
 class InexactDivision(ArithmeticError):

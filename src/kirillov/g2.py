@@ -29,7 +29,6 @@ from ._kernels import (
     DEFAULT_BATCH,
     DEFAULT_BUDGET,
     FieldTables,
-    check_budget,
     decode_mixed_radix,
     encode_sequences,
     merge_tallies,
@@ -44,6 +43,7 @@ from .errors import (
     InexactDivision,
     InsufficientPoints,
     PredicateMismatch,
+    check_budget,
 )
 from .fields import FieldCtx, FMatrix, field_of_order, make_prime_field, jordan_type
 from .intpoly import IntPoly, Q, Q_MINUS_1, poly_interpolate

@@ -25,7 +25,6 @@ from ._kernels import (
     DEFAULT_BATCH,
     DEFAULT_BUDGET,
     FieldTables,
-    check_budget,
     decode_mixed_radix,
     encode_sequences,
     merge_tallies,
@@ -34,7 +33,7 @@ from ._kernels import (
     tally_keys,
     usable_workers,
 )
-from .errors import TooLarge
+from .errors import check_budget
 from .fields import FieldCtx
 from .intpoly import IntPoly, Q, Q_MINUS_1, Verdict, irreducibility, split_qfactors
 from .partitions import Partition, jordan_type_from_ranks, partitions_of
@@ -143,8 +142,7 @@ def _census_chunk(ctx: FieldCtx, n: int, ranges: list) -> dict:
 
 
 def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
-                       budget: int = DEFAULT_BUDGET,
-                       max_n: int = 6) -> dict[Partition, int]:
+                       budget: int = DEFAULT_BUDGET) -> dict[Partition, int]:
     """Tally Jordan types of all strictly upper triangular n x n matrices.
 
     Enumerates all q^(n(n-1)/2) matrices with a mixed-radix counter over
@@ -153,15 +151,16 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     returns the per-partition counts.  With several workers the ranges
     are cut small enough that each worker gets about ``UNITS_PER_WORKER``
     of them, counting only as many workers as there are usable CPUs.
-    Raises TooLarge beyond the configured bounds, and ValueError unless
-    ``workers`` >= 1.
+    Raises TooLarge when the matrices exceed ``budget``, or over GF(p^k)
+    the q^2 entries of each gather table, checked before any table is
+    built; and ValueError unless ``workers`` >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds the configured bound {max_n}")
     space = ctx.q ** (n * (n - 1) // 2)
     check_budget(space, budget, "matrices")
+    if ctx.k > 1:
+        check_budget(ctx.q**2, budget, f"GF({ctx.q}) table entries")
     step = DEFAULT_BATCH
     parts = usable_workers(workers)
     if parts > 1:
@@ -270,14 +269,13 @@ class ScanReport:
     reducible: list  # (Partition, factors tuple)
 
 
-def reducibility_scan(n_max: int = 10, max_n: int = 12) -> ScanReport:
+def reducibility_scan(n_max: int = 10) -> ScanReport:
     """Factor every R with n <= n_max; collect the reducible ones.
 
     Every reported factorization is re-multiplied against R before it is
-    returned.
+    returned.  Raises TooLarge when a Kronecker search would exceed
+    ``intpoly.KRONECKER_BUDGET``.
     """
-    if n_max > max_n:
-        raise TooLarge(f"scan to n={n_max} exceeds the configured bound {max_n}")
     verdicts: dict[Partition, Verdict] = {}
     reducible = []
     for n in range(1, n_max + 1):

@@ -4,11 +4,14 @@ These stay deliberately naive and independent of the library code paths
 they check: cells are enumerated and re-validated directly, tableaux are
 counted by backtracking, factor searches try every divisor tuple, and
 GF(p)[x] arithmetic runs on dense int lists instead of packed ints.
+The ``deadline`` context manager turns a hang into a test failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 
 from hypothesis import settings
 
@@ -21,6 +24,23 @@ from kirillov.partitions import Partition
 settings.register_profile("kirillov", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("kirillov")
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body once it has run ``seconds`` seconds
+    (SIGALRM, so only in the main thread), instead of letting it hang."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- GF(p)[x] on dense int lists, lowest degree first, no zeros on top --

@@ -4,9 +4,9 @@ Each test prints one `ACCEPTANCE <k> <name>: PASS/FAIL` line (visible
 with `pytest -s` and in failure output).  Criterion 4 carries a known
 source-data conflict for the partition (4,3,2); the evidence is in the
 comment above `PRINTED_FACTORIZATIONS`.  The heaviest enumerations (the
-5^10 type-A census point and the six- and seven-prime interpolations on
-the exhaustive q^6 route) are exercised by the slow-marked variants:
-`pytest -m slow`.
+5^10 and 2^21 type-A census points and the six- and seven-prime
+interpolations on the exhaustive q^6 route) are exercised by the
+slow-marked variants: `pytest -m slow`.
 """
 
 import os
@@ -85,16 +85,17 @@ def test_criterion_2_census_oracle_equivalence():
     grid += [(5, 2), (5, 3), (5, 4), (6, 2)]
     failures = [(n, q) for n, q in grid if not _census_grid_matches(n, q)]
     _report(2, "census-oracle-equivalence", not failures, started,
-            detail="n<=5 grid; the 5^10 point is in the slow suite")
+            detail="n<=5 grid; the 5^10 and 2^21 points are in the slow suite")
     assert not failures, failures
 
 
 @pytest.mark.slow
 def test_criterion_2_census_oracle_equivalence_slow_point():
     started = time.time()
-    ok = _census_grid_matches(5, 5)
-    _report(2, "census-oracle-equivalence-5^10", ok, started)
-    assert ok
+    failures = [(n, q) for n, q in ((5, 5), (7, 2))
+                if not _census_grid_matches(n, q)]
+    _report(2, "census-oracle-equivalence-5^10-2^21", not failures, started)
+    assert not failures, failures
 
 
 # -- criterion 3: structure suite --------------------------------------------

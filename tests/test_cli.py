@@ -3,9 +3,11 @@ import json
 import pytest
 
 from kirillov.cli import main
-from kirillov.intpoly import IntPoly
+from kirillov.intpoly import IntPoly, split_qfactors
 from kirillov.partitions import Partition
 from kirillov.typea import kirillov_recursion
+
+from conftest import deadline
 
 
 def run(capsys, *argv):
@@ -175,6 +177,40 @@ def test_g2_census_budget_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_typea_census_budget_covers_the_gather_tables(capsys, monkeypatch):
+    # 2^20 matrices fit the default budget, the 2^40-entry tables do not
+    import kirillov._kernels as kernels
+
+    def walk(ctx):
+        raise AssertionError(f"GF({ctx.q}) was walked before the budget "
+                             f"was checked")
+
+    monkeypatch.setattr(kernels, "_generator_powers", walk)
+    with deadline(5):
+        code = main(["typea", "census", "2", "1048576"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert captured.err.count("\n") == 1
+
+
+R_33221111 = split_qfactors(kirillov_recursion(
+    Partition((3, 3, 2, 2, 1, 1, 1, 1)))).r
+
+
+@pytest.mark.parametrize("argv", [
+    ["typea", "scan", "14"],
+    ["poly", "irred", ",".join(map(str, R_33221111.coeffs))]])
+def test_an_oversized_kronecker_search_exits_3(capsys, argv):
+    # both reach R(3,3,2,2,1,1,1,1), whose search would run about 1.3 h
+    with deadline(10):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_g2_interpolate_command_with_synthetic_censuses(capsys, monkeypatch):

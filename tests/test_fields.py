@@ -1,5 +1,3 @@
-import signal
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from kirillov.fields import (
 )
 from kirillov.intpoly import IntPoly, ddf_degrees
 
-from conftest import _pdivmod, _pmul
+from conftest import _pdivmod, _pmul, deadline
 
 
 # the encoding written out independently of the package's codec: an
@@ -174,18 +172,9 @@ def test_quadratic_character_matches_explicit_squares():
 @pytest.mark.parametrize("q, e", [(7, -1), (9, -2)])
 def test_pow_refuses_a_negative_exponent(q, e):
     # halving a negative exponent never reaches 0, so a loop that accepted
-    # one would not return; the alarm turns such a hang into a failure
-    def hung(signum, frame):
-        raise TimeoutError(f"GF({q}).pow(3, {e}) did not return in 5 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
-        with pytest.raises(ValueError, match="negative exponent"):
-            field_of_order(q).pow(3, e)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    # one would not return; the deadline turns such a hang into a failure
+    with deadline(5), pytest.raises(ValueError, match="negative exponent"):
+        field_of_order(q).pow(3, e)
 
 
 def test_rank_basic():

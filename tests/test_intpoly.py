@@ -10,6 +10,7 @@ from kirillov.errors import (
     BadPrime,
     DuplicateAbscissa,
     NonIntegerCoefficients,
+    TooLarge,
     ZeroPolynomial,
 )
 from kirillov.intpoly import (
@@ -18,6 +19,7 @@ from kirillov.intpoly import (
     Q_MINUS_1,
     _PackedRing,
     _divide_exact,
+    _kronecker_search,
     ddf_degrees,
     irreducibility,
     poly_interpolate,
@@ -31,6 +33,7 @@ from conftest import (
     _pmonic,
     _pmul,
     _ptrim,
+    deadline,
     oracle_kronecker_reducible,
 )
 
@@ -602,6 +605,40 @@ def test_irreducibility_agrees_with_naive_kronecker():
             assert verdict.kind == "irreducible", (poly.text(), verdict)
         else:
             assert verdict.is_reducible, (poly.text(), factor.text())
+
+
+# R of the type-A partition (3,3,2,2,1,1,1,1), degree 27: the certificate
+# primes leave only degree 4, and the divisor counts of its values at 0, 1,
+# -1, 2, -2 multiply to 859,963,392 candidates, about 1.3 h of search
+R_33221111 = IntPoly((
+    1, 8, 38, 136, 405, 1055, 2479, 5361, 10810, 20509, 36843, 62887,
+    102188, 158206, 233346, 327549, 436568, 550455, 653138, 724354, 744479,
+    700532, 593754, 443338, 283010, 146874, 55965, 12012))
+
+
+def test_an_oversized_kronecker_search_is_refused_before_it_runs():
+    with deadline(5), pytest.raises(
+            TooLarge, match="859963392 Kronecker candidates of degree 4"):
+        irreducibility(R_33221111)
+
+
+def test_kronecker_search_sizes_each_loop_against_the_budget(monkeypatch):
+    import kirillov.intpoly as intpoly
+
+    # q^2 + 1 at degree 1: values 1 and 2, so 2 x 4 signed divisor tuples
+    monkeypatch.setattr(intpoly, "KRONECKER_BUDGET", 7)
+    with pytest.raises(TooLarge, match="8 Kronecker candidates of degree 1"):
+        _kronecker_search(IntPoly((1, 0, 1)), {1})
+    monkeypatch.setattr(intpoly, "KRONECKER_BUDGET", 8)
+    assert _kronecker_search(IntPoly((1, 0, 1)), {1}) is None
+    # r(0) = 81 needs isqrt(81) = 9 trial divisions: refused before any
+
+    def divide(n):
+        raise AssertionError(f"trial division of {n} was not sized first")
+
+    monkeypatch.setattr(intpoly, "_divisors_signed", divide)
+    with pytest.raises(TooLarge, match="9 trial divisions of r\\(0\\)"):
+        _kronecker_search(IntPoly((81, 0, 1)), {1})
 
 
 def test_content_is_pulled_out():

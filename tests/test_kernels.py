@@ -1,7 +1,6 @@
 import multiprocessing as mp
 import os
 import random
-import signal
 import time
 import tracemalloc
 from functools import lru_cache
@@ -29,6 +28,8 @@ from kirillov.fields import (
     make_prime_field,
     rank_sequence,
 )
+
+from conftest import deadline
 
 # the fields of the property tests: p in {5, 7, 11, 13}, k in {1, 2, 3}
 FIELDS = [(p, k) for p in (5, 7, 11, 13) for k in (1, 2, 3)]
@@ -717,17 +718,9 @@ def two_cpus(monkeypatch):
     the test."""
     import kirillov._kernels as kernels
 
-    def hung(signum, frame):
-        raise TimeoutError("the census did not return within 60 s")
-
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
+    with deadline(60):
         yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert mp.active_children() == []
 
 

@@ -18,6 +18,8 @@ from kirillov.typea import (
     vla_table_n4,
 )
 
+from conftest import deadline
+
 P = kirillov_recursion
 
 
@@ -144,10 +146,32 @@ def test_census_cuts_several_ranges_per_worker(monkeypatch):
 
 
 def test_census_budget_guards():
+    # n = 7 over GF(2) is 2^21 matrices: one more than the budget allows
     with pytest.raises(TooLarge):
-        brute_force_census(7, make_prime_field(2))
+        brute_force_census(7, make_prime_field(2), budget=2**21 - 1)
     with pytest.raises(TooLarge):
         brute_force_census(6, make_prime_field(5), budget=10**6)
+
+
+def test_census_charges_the_gather_tables_to_its_budget(monkeypatch):
+    # n = 2 over GF(2^20) is 2^20 matrices, within the default budget, but
+    # its gather tables would hold 2^40 entries each; the census refuses
+    # them before the generator walk that builds the first table
+    import kirillov._kernels as kernels
+
+    def walk(ctx):
+        raise AssertionError(f"GF({ctx.q}) was walked before the budget "
+                             f"was checked")
+
+    monkeypatch.setattr(kernels, "_generator_powers", walk)
+    with deadline(5), pytest.raises(TooLarge, match="table entries"):
+        brute_force_census(2, field_of_order(2**20))
+    # GF(9) at n = 2: 9 matrices and 81 table entries
+    with pytest.raises(TooLarge, match="81 GF\\(9\\) table entries"):
+        brute_force_census(2, field_of_order(9), budget=80)
+    monkeypatch.undo()
+    counts = brute_force_census(2, field_of_order(9), budget=81)
+    assert counts == {Partition((2,)): 8, Partition((1, 1)): 1}
 
 
 def test_vla_table_shape():
@@ -218,5 +242,7 @@ def test_r_factors_of_the_conjugate_pair_432_and_3321():
 
 
 def test_scan_bound():
-    with pytest.raises(TooLarge):
-        reducibility_scan(13)
+    # n = 14 reaches R(3,3,2,2,1,1,1,1), whose Kronecker search would try
+    # 859,963,392 candidates (about 1.3 h): the scan refuses it instead
+    with deadline(10), pytest.raises(TooLarge, match="Kronecker candidates"):
+        reducibility_scan(14)
