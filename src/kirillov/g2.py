@@ -406,52 +406,98 @@ def _case_of(a: int, f: int) -> int:
     return 4
 
 
-def _census_slices(q: int, exhaustive: bool) -> list[tuple[int, int, int]]:
-    """The (a, f, weight) slices a census walks, each over all q^4 (b,c,d,e).
+# The exhaustive route shares a batch among as many whole slices of one
+# case as fit in this many tuples.  Over GF(7) (2,401 tuples a slice),
+# batches of 1, 2, 3 and 6 slices took 31.7, 29.6, 28.5 and 26.9 ms per
+# census and peaked at 32.3, 33.2, 33.8 and 36.0 MiB (best of 60 runs,
+# 2-vCPU Xeon, numpy 2.4): three slices keep most of the gain for under
+# half the memory of six.  Past the cap (q >= 11) each slice is batched
+# on its own, as before: in a prototype, shared 32,768-tuple batches made
+# the census over GF(11) slower (0.354 to 0.437 s).
+_SHARED_BATCH = DEFAULT_BATCH // 4
 
-    Exhaustive: every (a, f) once, with weight 1.  Weighted: the torus
-    (see ``torus_weights``) scales a by any nonzero s1 and f by any nonzero
-    s2 while it maps the (b, c, d, e) of a slice bijectively onto those of
-    the image slice and keeps every Jordan type.  So all slices with a != 0
-    tally alike, and likewise for f; (a, f) in {0, 1}^2 each stand for
-    (q-1)^([a != 0] + [f != 0]) slices.
+
+def _slice_ranges(first: int, last: int, inner: int) -> list[tuple[int, int]]:
+    """The batches over slices first..last-1 of ``inner`` tuples each, as
+    index ranges: runs of whole slices of at most ``_SHARED_BATCH`` tuples
+    when a slice fits there, else each slice cut at ``DEFAULT_BATCH``."""
+    per = _SHARED_BATCH // inner
+    if per:
+        stop = last * inner
+        return [(lo, min(lo + per * inner, stop))
+                for lo in range(first * inner, stop, per * inner)]
+    return [(f * inner + lo, f * inner + min(lo + DEFAULT_BATCH, inner))
+            for f in range(first, last) for lo in range(0, inner, DEFAULT_BATCH)]
+
+
+def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
+    """The (a, lo, hi, weight) units a census walks: at fixed a, the index
+    range lo..hi-1 of the q^5 tuples (f, b, c, d, e) in radix q, f most
+    significant, so that the slice of one f is a run of q^4 indices.
+
+    Exhaustive: for every a, the slice f = 0 and the slices f != 0, each
+    in batches of ``_slice_ranges``, with weight 1.  Weighted: the torus
+    (see ``torus_weights``) scales a by any nonzero s1 and f by any
+    nonzero s2 while it maps the (b, c, d, e) of a slice bijectively onto
+    those of the image slice and keeps every Jordan type.  So all slices
+    with a != 0 tally alike, and likewise for f; (a, f) in {0, 1}^2 each
+    stand for (q-1)^([a != 0] + [f != 0]) slices.
+
+    No unit mixes f = 0 with f != 0, so each has one case (raises
+    AssertionError otherwise).
     """
+    inner = q**4
     if exhaustive:
-        return [(a, f, 1) for a in range(q) for f in range(q)]
-    torus_weights()  # raises unless the basis is graded as assumed above
-    return [(a, f, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)]
+        units = [(a, lo, hi, 1) for a in range(q)
+                 for first, last in ((0, 1), (1, q))
+                 for lo, hi in _slice_ranges(first, last, inner)]
+    else:
+        torus_weights()  # raises unless the basis is graded as assumed above
+        units = [(a, lo, hi, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)
+                 for lo, hi in _slice_ranges(f, f + 1, inner)]
+    for a, lo, hi, _ in units:
+        if (lo < inner) != (hi <= inner):
+            raise AssertionError(f"unit {lo}..{hi} at a={a} mixes f = 0 "
+                                 f"with f != 0")
+    return units
 
 
-def _g2_chunk(ctx: FieldCtx, slices: list) -> dict:
+def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
     tables = FieldTables(ctx, DIM)
     q = ctx.q
     inner = q**4
     tally: dict[tuple, int] = {}
-    for a_val, f_val, weight in slices:
-        case = _case_of(a_val, f_val)
-        for lo in range(0, inner, DEFAULT_BATCH):
-            hi = min(lo + DEFAULT_BATCH, inner)
-            digits = decode_mixed_radix(lo, hi, q, 4, dtype=tables.dtype)
-            b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(4))
-            params = (a_val, b_arr, c_arr, d_arr, e_arr, f_val)
-            mats = np.zeros((DIM, DIM, hi - lo), dtype=tables.dtype)
-            for i, j, param, coeff in entry_table():
-                mats[i, j] = tables.scale_int(coeff, params[param])
-            seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
-                                        tables)
-            pred = _predicted_batch(tables, a_val, f_val,
-                                    b_arr, c_arr, d_arr, e_arr)
-            bad = (seqs != pred).any(axis=1)
+    for a_val, lo, hi, weight in units:
+        digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype)
+        f_arr, b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(5))
+        params = (a_val, b_arr, c_arr, d_arr, e_arr, f_arr)
+        mats = np.zeros((DIM, DIM, hi - lo), dtype=tables.dtype)
+        columns = {}  # (param, coeff mod p) -> its scaled column
+        for i, j, param, coeff in entry_table():
+            key = (param, coeff % ctx.p)
+            if key not in columns:
+                columns[key] = (params[param] if key[1] == 1
+                                else tables.scale_int(coeff, params[param]))
+            mats[i, j] = columns[key]
+        seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
+                                    tables)
+        for f_val in range(lo // inner, (hi - 1) // inner + 1):
+            rows = slice(max(lo, f_val * inner) - lo,
+                         min(hi, (f_val + 1) * inner) - lo)
+            b, c, d, e = (x[rows] for x in (b_arr, c_arr, d_arr, e_arr))
+            pred = _predicted_batch(tables, a_val, f_val, b, c, d, e)
+            got = seqs[rows]
+            bad = (got != pred).any(axis=1)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise PredicateMismatch(
                     f"q={q} params (a,b,c,d,e,f)="
-                    f"({a_val},{int(b_arr[i])},{int(c_arr[i])},{int(d_arr[i])},"
-                    f"{int(e_arr[i])},{f_val}): predicted "
+                    f"({a_val},{int(b[i])},{int(c[i])},{int(d[i])},"
+                    f"{int(e[i])},{f_val}): predicted "
                     f"{tuple(int(x) for x in pred[i])}, "
-                    f"computed {tuple(int(x) for x in seqs[i])}")
-            tally_keys(tally, encode_sequences(seqs), DIM - 1, weight,
-                       (case,))
+                    f"computed {tuple(int(x) for x in got[i])}")
+        tally_keys(tally, encode_sequences(seqs), DIM - 1, weight,
+                   (_case_of(a_val, lo // inner),))
     return tally
 
 
@@ -468,9 +514,12 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
 
     By default the census walks all q^6 tuples.  ``exhaustive=False``
     enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
-    (a, f) slice by the number of slices its torus orbit covers (see
-    ``_census_slices``).  ``budget`` bounds the tuples the chosen route
-    enumerates.  The slices are the work units of ``run_census``.
+    (a, f) slice by the number of slices its torus orbit covers.  The work
+    units of ``run_census`` are the ranges of ``_census_units``, each one
+    batch of whole slices of one case when q^4 <= 8,192 (over GF(7), 21
+    batches of up to three slices instead of 49 of one), so that each
+    batch takes one call of the rank kernel.  ``budget`` bounds the tuples
+    the chosen route enumerates.
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of ``_predicted_batch`` are validated against
     the computed sequence for every enumerated tuple, and any
@@ -479,7 +528,7 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)
-    cases = run_census(_g2_chunk, (ctx,), _census_slices(ctx.q, exhaustive),
+    cases = run_census(_g2_chunk, (ctx,), _census_units(ctx.q, exhaustive),
                        workers)
     counts = merge_tallies([cases],
                            lambda key: jordan_type_from_ranks(key[1], DIM))

@@ -33,7 +33,7 @@ from ._kernels import (
     tally_keys,
     usable_workers,
 )
-from .errors import check_budget
+from .errors import TooLarge, check_budget
 from .fields import FieldCtx
 from .intpoly import IntPoly, Q, Q_MINUS_1, Verdict, irreducibility, split_qfactors
 from .partitions import Partition, jordan_type_from_ranks, partitions_of
@@ -273,15 +273,19 @@ def reducibility_scan(n_max: int = 10) -> ScanReport:
     """Factor every R with n <= n_max; collect the reducible ones.
 
     Every reported factorization is re-multiplied against R before it is
-    returned.  Raises TooLarge when a Kronecker search would exceed
-    ``intpoly.KRONECKER_BUDGET``.
+    returned.  Raises TooLarge, naming the partition and deg R, when a
+    Kronecker search would exceed ``intpoly.KRONECKER_BUDGET``.
     """
     verdicts: dict[Partition, Verdict] = {}
     reducible = []
     for n in range(1, n_max + 1):
         for lam in partitions_of(n):
             r = split_qfactors(kirillov_recursion(lam)).r
-            verdict = irreducibility(r)
+            try:
+                verdict = irreducibility(r)
+            except TooLarge as exc:
+                raise TooLarge(f"R{lam.parts} of degree {r.degree}: "
+                               f"{exc}") from exc
             verdicts[lam] = verdict
             if verdict.is_reducible:
                 product = IntPoly((1,))

@@ -213,6 +213,15 @@ def test_an_oversized_kronecker_search_exits_3(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_a_refused_scan_names_the_partition_and_the_degree_of_r(capsys):
+    with deadline(10):
+        code = main(["typea", "scan", "14"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "R(3, 3, 2, 2, 1, 1, 1, 1) of degree 27: " in err
+    assert "Kronecker candidates" in err
+
+
 def test_g2_interpolate_command_with_synthetic_censuses(capsys, monkeypatch):
     # patch the census cache so the CLI handler is exercised without the
     # heavy enumerations (the real runs live in the acceptance suite)

@@ -289,13 +289,47 @@ def test_census_rejects_bad_characteristic_and_budget():
 def test_census_worker_determinism(monkeypatch):
     import kirillov._kernels as kernels
 
-    # three CPUs, so that three workers split three ways on fewer cores
+    # three CPUs, so that three workers split three ways on fewer cores;
+    # over GF(11) a slice (14,641 tuples) no longer shares its batch
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
-    single = g2_census(make_prime_field(5), workers=1)
-    for workers in (2, 3):
-        split = g2_census(make_prime_field(5), workers=workers)
-        assert single.counts == split.counts
-        assert single.cases == split.cases
+    for q in (5, 7, 11):
+        single = g2_census(make_prime_field(q), workers=1)
+        for workers in (2, 3):
+            split = g2_census(make_prime_field(q), workers=workers)
+            assert single.counts == split.counts
+            assert list(single.cases.items()) == list(split.cases.items())
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17])
+def test_census_units_hold_one_case_in_whole_slices(q):
+    import kirillov.g2 as g2mod
+    from kirillov._kernels import DEFAULT_BATCH
+
+    inner = q**4
+    for exhaustive in (True, False):
+        for a, lo, hi, weight in g2mod._census_units(q, exhaustive):
+            assert 0 <= lo < hi <= q**5 and hi - lo <= DEFAULT_BATCH
+            assert (lo < inner) == (hi <= inner)  # f = 0 or f != 0 alone
+            if inner <= DEFAULT_BATCH // 4:
+                assert lo % inner == hi % inner == 0
+                assert hi - lo <= DEFAULT_BATCH // 4
+            else:  # one slice per batch, cut as it was before the sharing
+                assert lo // inner == (hi - 1) // inner
+                assert lo % inner % DEFAULT_BATCH == 0
+                assert hi % inner == 0 or hi - lo == DEFAULT_BATCH
+    # GF(7): at each a the slice f = 0, then f = 1..3 and f = 4..6
+    if q == 7:
+        assert len(g2mod._census_units(q, True)) == 21
+
+
+def test_census_units_refuse_a_range_across_the_cases(monkeypatch):
+    import kirillov.g2 as g2mod
+
+    monkeypatch.setattr(g2mod, "_slice_ranges",
+                        lambda first, last, inner: [(0, last * inner)])
+    for exhaustive in (True, False):
+        with pytest.raises(AssertionError, match="mixes f = 0"):
+            g2mod._census_units(5, exhaustive)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -324,6 +358,25 @@ def test_census_checks_the_predicate_on_both_routes(monkeypatch, exhaustive):
     monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_last_tuple)
     with pytest.raises(PredicateMismatch, match=r"=\(1,4,4,4,4,1\)"):
         g2_census(make_prime_field(5), exhaustive=exhaustive)
+
+
+def test_a_mismatch_in_a_shared_batch_names_its_own_slice(monkeypatch):
+    # over GF(5) the slices f = 1..4 at a = 0 share one batch; a predicate
+    # wrong only on the third of them is reported with that slice's f
+    import kirillov.g2 as g2mod
+
+    assert (0, 5**4, 5**5, 1) in g2mod._census_units(5, True)
+    original = g2mod._predicted_batch
+
+    def wrong_on_the_third_slice(t, a, f, b, c, d, e):
+        out = original(t, a, f, b, c, d, e)
+        if (a, f) == (0, 3):
+            out[-1, 0] = 0
+        return out
+
+    monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_the_third_slice)
+    with pytest.raises(PredicateMismatch, match=r"=\(0,4,4,4,4,3\)"):
+        g2_census(make_prime_field(5))
 
 
 def test_census_checks_every_rank_of_the_predicate(monkeypatch):

@@ -675,35 +675,47 @@ def _tilings(calls: list) -> int:
 
 
 def test_censuses_decode_their_spaces_exactly(monkeypatch):
-    # both census callers decode ranges inside radix**width, which
-    # together cover their space once per census (type A) or per slice
-    # (g2); every unit runs in this process, with the ranges a
+    # both census callers decode ranges inside radix**width: type A tiles
+    # its space once per census; g2 decodes each unit's range of the q^5
+    # tuples (f, b, c, d, e) once, and at each a the ranges are disjoint
+    # and together cover q^6 tuples (exhaustive) or 4 q^4 (weighted)
+    # exactly once.  Every unit runs in this process, with the ranges a
     # two-worker census cuts too
     import kirillov._kernels as kernels
     import kirillov.g2 as g2
     import kirillov.typea as typea
 
-    calls = []
+    calls, units = [], []
 
     def recording(start, stop, radix, width, dtype):
         calls.append((start, stop, radix**width))
         return decode_mixed_radix(start, stop, radix, width, dtype)
 
-    def in_process(chunk, head, units, workers):
-        return chunk(*head, units)
+    def in_process(chunk, head, work, workers):
+        units.extend(work)
+        return chunk(*head, work)
 
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
     for module in (g2, typea):
         monkeypatch.setattr(module, "decode_mixed_radix", recording)
         monkeypatch.setattr(module, "run_census", in_process)
-    for n, q, workers, units in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 17)):
+    for n, q, workers, count in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 17)):
         calls.clear()
         typea.brute_force_census(n, field_of_order(q), workers=workers)
-        assert _tilings(calls) == 1 and len(calls) == units
-    for exhaustive, slices in ((True, 25), (False, 4)):
+        assert _tilings(calls) == 1 and len(calls) == count
+    q = 5
+    for exhaustive, tuples in ((True, q**6), (False, 4 * q**4)):
         calls.clear()
-        g2.g2_census(field_of_order(5), exhaustive=exhaustive)
-        assert _tilings(calls) == slices
+        units.clear()
+        g2.g2_census(field_of_order(q), exhaustive=exhaustive)
+        assert calls == [(lo, hi, q**5) for _, lo, hi, _ in units]
+        covered = 0
+        for a in {unit[0] for unit in units}:
+            ranges = sorted((lo, hi) for b, lo, hi, _ in units if b == a)
+            ends = [0] + [x for lo_hi in ranges for x in lo_hi] + [q**5]
+            assert ends == sorted(ends) and all(lo < hi for lo, hi in ranges)
+            covered += sum(hi - lo for lo, hi in ranges)
+        assert covered == tuples
 
 
 # ---------------------------------------------------------------------------
