@@ -412,8 +412,8 @@ def _case_of(a: int, f: int) -> int:
 # census and peaked at 32.3, 33.2, 33.8 and 36.0 MiB (best of 60 runs,
 # 2-vCPU Xeon, numpy 2.4): three slices keep most of the gain for under
 # half the memory of six.  Past the cap (q >= 11) each slice is batched
-# on its own, as before: in a prototype, shared 32,768-tuple batches made
-# the census over GF(11) slower (0.354 to 0.437 s).
+# on its own: in a prototype, shared 32,768-tuple batches made the census
+# over GF(11) slower (0.354 to 0.437 s).
 _SHARED_BATCH = DEFAULT_BATCH // 4
 
 
@@ -436,12 +436,17 @@ def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
     significant, so that the slice of one f is a run of q^4 indices.
 
     Exhaustive: for every a, the slice f = 0 and the slices f != 0, each
-    in batches of ``_slice_ranges``, with weight 1.  Weighted: the torus
-    (see ``torus_weights``) scales a by any nonzero s1 and f by any
-    nonzero s2 while it maps the (b, c, d, e) of a slice bijectively onto
-    those of the image slice and keeps every Jordan type.  So all slices
-    with a != 0 tally alike, and likewise for f; (a, f) in {0, 1}^2 each
-    stand for (q-1)^([a != 0] + [f != 0]) slices.
+    in batches of ``_slice_ranges``, with weight 1.  Sharing a batch among
+    whole slices saves rank-kernel calls (21 instead of 49 over GF(7));
+    the cap of ``_SHARED_BATCH`` = 8,192 tuples, three slices over GF(7),
+    is where a sweep of the batch size found most of the speed-up for
+    1.5 MiB more peak memory (the figures are at its definition).
+
+    Weighted: the torus (see ``torus_weights``) scales a by any nonzero
+    s1 and f by any nonzero s2 while it maps the (b, c, d, e) of a slice
+    bijectively onto those of the image slice and keeps every Jordan
+    type.  So all slices with a != 0 tally alike, and likewise for f;
+    (a, f) in {0, 1}^2 each stand for (q-1)^([a != 0] + [f != 0]) slices.
 
     No unit mixes f = 0 with f != 0, so each has one case (raises
     AssertionError otherwise).

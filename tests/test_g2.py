@@ -290,7 +290,7 @@ def test_census_worker_determinism(monkeypatch):
     import kirillov._kernels as kernels
 
     # three CPUs, so that three workers split three ways on fewer cores;
-    # over GF(11) a slice (14,641 tuples) no longer shares its batch
+    # over GF(11) a slice (14,641 tuples) is too large to share a batch
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     for q in (5, 7, 11):
         single = g2_census(make_prime_field(q), workers=1)
@@ -307,13 +307,13 @@ def test_census_units_hold_one_case_in_whole_slices(q):
 
     inner = q**4
     for exhaustive in (True, False):
-        for a, lo, hi, weight in g2mod._census_units(q, exhaustive):
+        for _, lo, hi, _ in g2mod._census_units(q, exhaustive):
             assert 0 <= lo < hi <= q**5 and hi - lo <= DEFAULT_BATCH
             assert (lo < inner) == (hi <= inner)  # f = 0 or f != 0 alone
             if inner <= DEFAULT_BATCH // 4:
                 assert lo % inner == hi % inner == 0
                 assert hi - lo <= DEFAULT_BATCH // 4
-            else:  # one slice per batch, cut as it was before the sharing
+            else:  # batches of one slice each, cut at DEFAULT_BATCH
                 assert lo // inner == (hi - 1) // inner
                 assert lo % inner % DEFAULT_BATCH == 0
                 assert hi % inner == 0 or hi - lo == DEFAULT_BATCH
