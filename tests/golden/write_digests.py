@@ -1,0 +1,79 @@
+"""Golden digests of the census routes: what each census outputs, hashed.
+
+Run from the repository root to rewrite ``digests.json`` next to this file:
+
+    PYTHONPATH=src python tests/golden/write_digests.py
+
+Each label is one census call.  Its output is written in one canonical
+form, JSON with sorted keys and plain ints (no pickle, no repr of numpy
+scalars), and ``digests.json`` keeps the sha256 of that text together
+with the route, the field (with its modulus over GF(p^k)) and the worker
+count.  ``tests/test_golden.py`` recomputes every label and compares, so
+a change that moves any count of any route fails the default suite.
+Rewrite the file only for a change that is meant to move an output, and
+name the labels that moved, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from kirillov.fields import field_of_order
+from kirillov.g2 import g2_census
+from kirillov.typea import brute_force_census
+
+PATH = Path(__file__).with_name("digests.json")
+
+# label -> (route, q, n or None, workers)
+LABELS = {
+    **{f"g2 exhaustive GF({q}) {w}w": ("g2-exhaustive", q, None, w)
+       for q in (5, 7) for w in (1, 2)},
+    **{f"g2 weighted GF({q})": ("g2-weighted", q, None, 1)
+       for q in (5, 7, 13)},
+    **{f"typea n={n} GF({q})": ("typea", q, n, 1)
+       for n, qs in ((4, (2, 3, 4, 5, 7, 8, 9)), (5, (2, 3, 4)), (6, (2,)))
+       for q in qs},
+}
+
+
+def _plain(counts: dict) -> list:
+    return sorted([list(key), int(cnt)] for key, cnt in counts.items())
+
+
+def output(label: str) -> dict:
+    """The output of the census ``label`` names, in plain ints and lists."""
+    route, q, n, workers = LABELS[label]
+    ctx = field_of_order(q)
+    if route == "typea":
+        return {"counts": _plain(brute_force_census(n, ctx, workers=workers))}
+    report = g2_census(ctx, workers=workers,
+                       exhaustive=route == "g2-exhaustive")
+    return {"cases": sorted([case, list(seq), int(cnt)]
+                            for (case, seq), cnt in report.cases.items()),
+            "counts": _plain(report.counts),
+            "total": int(report.total)}
+
+
+def digest(label: str) -> str:
+    text = json.dumps(output(label), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(label: str) -> dict:
+    route, q, n, workers = LABELS[label]
+    ctx = field_of_order(q)
+    return {"route": route, "n": n, "q": q, "p": ctx.p, "k": ctx.k,
+            "modulus": None if ctx.modulus is None else list(ctx.modulus),
+            "workers": workers, "sha256": digest(label)}
+
+
+def main() -> None:
+    records = {label: record(label) for label in LABELS}
+    PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
