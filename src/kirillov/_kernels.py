@@ -35,12 +35,10 @@ that could hold a nonzero entry there; both add their pivots to the
 rank without a row update.  Column 0 of every strictly upper band is of
 the second kind, so for n = 4 the 2 x 2 band of X^2 is never updated and
 the 3 x 3 band of X in one column of three, and the 6 x 6 band of a g2
-matrix in four columns of six.  On the three bands of 32,768 matrices
-4 x 4 over GF(9), ``rank_batch`` took 5.2 to 5.4 ms with an update on
-every column and 1.7 to 2.3 ms without the idle ones; the n = 4 census
-over GF(8) and GF(9) took 56 to 57 ms and 29 to 31 ms, and the
-exhaustive g2 census over GF(7) 28 to 30 ms and 26 to 28 ms (2-vCPU
-Xeon, numpy 2.4).
+matrix in four columns of six.  The n = 4 census over GF(8) and GF(9)
+took 56 to 57 ms with an update on every column and 29 to 31 ms without
+the idle ones, and the exhaustive g2 census over GF(7) 28 to 30 ms and
+26 to 28 ms (2-vCPU Xeon, numpy 2.4).
 
 The index bookkeeping around the kernels avoids per-element division and
 scatter.  Dividing every index once per digit made ``decode_mixed_radix``

@@ -371,6 +371,39 @@ def test_rank_sequence_packing_refuses_more_ranks_than_the_key_holds():
             == [tuple(row) for row in edge.tolist()])
 
 
+# the narrowest type that holds 16^m - 1, the largest key of m ranks
+# (int16 for the 3 ranks of type A at n = 4, int32 for the 6 of g2); 16
+# ranks fill an int64, sign bit included
+KEY_TYPES = {m: np.int8 if m == 1 else np.int16 if m <= 3 else
+             np.int32 if m <= 7 else np.int64 for m in range(1, 17)}
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_rank_keys_are_the_narrowest_type_that_holds_them(m):
+    zeros = np.zeros((2, m), dtype=np.int8)
+    fifteens = np.full((2, m), 15, dtype=np.int16)
+    for seqs in (zeros, fifteens):
+        keys = encode_sequences(seqs)
+        assert keys.dtype == KEY_TYPES[m]
+        assert [decode_sequence(int(k), m) for k in keys] == \
+            [tuple(row) for row in seqs.tolist()]
+    widths = (np.int8, np.int16, np.int32, np.int64)
+    narrower = widths[:widths.index(KEY_TYPES[m])]
+    assert all(16**m - 1 > np.iinfo(t).max for t in narrower)
+    # all fifteens is 16^m - 1, or -1 once the first rank takes the sign bit
+    assert int(encode_sequences(fifteens)[0]) == (16**m - 1 if m < 16 else -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 15, 16])
+def test_distinct_rank_sequences_get_distinct_keys(m):
+    rng = np.random.default_rng(m)
+    seqs = rng.integers(0, 16, size=(3000, m)).astype(np.int32)
+    keys = encode_sequences(seqs)
+    assert len(np.unique(keys)) == len(np.unique(seqs, axis=0))
+    assert [decode_sequence(int(k), m) for k in keys[:200]] == \
+        [tuple(row) for row in seqs[:200].tolist()]
+
+
 @pytest.mark.parametrize("q", [7, 9])
 def test_power_ranks_agree_with_exact_elimination(q):
     # the kernel skips single Jordan blocks (all superdiagonal entries
@@ -532,6 +565,51 @@ def test_rank_batch_matches_exact_rank_with_shuffled_leads(p, k, nrows, ncols,
             for _ in range(size)]
     ranks = rank_batch(np.array(rows, dtype=tables.dtype), tables)
     assert [int(r) for r in ranks] == [_padded_rank(ctx, m) for m in rows]
+
+
+def _edge_batches(q: int, kind: str) -> list:
+    """Batches of 30 matrices over GF(q), each entry nonzero with
+    probability 0.6 unless ``kind`` zeroes it, at an edge of the column
+    rules of ``rank_batch``."""
+    rng = random.Random(f"{q} {kind}")
+
+    def batch(nrows, ncols, zero=lambda i, j: False):
+        return [[[rng.randrange(1, q) if not zero(i, j) and rng.random() < 0.6
+                  else 0 for j in range(ncols)] for i in range(nrows)]
+                for _ in range(30)]
+
+    if kind == "r x 1":
+        return [batch(r, 1) for r in range(1, 7)]
+    if kind == "1 x c":
+        return [batch(1, c) for c in range(1, 7)]
+    if kind == "column 0 on row 0 only":
+        return [batch(r, c, lambda i, j: i > 0 and j == 0)
+                for r, c in ((2, 2), (3, 3), (4, 6), (6, 6))]
+    return [batch(r, c, lambda i, j, mid=mid: j == mid)
+            for r, c, mid in ((3, 3, 1), (4, 5, 2), (6, 6, 3))]
+
+
+@pytest.mark.parametrize("kind", ["r x 1", "1 x c", "column 0 on row 0 only",
+                                  "zero middle column"])
+@pytest.mark.parametrize("q", [7, 9, 25])
+def test_rank_batch_is_exact_where_columns_skip_the_row_update(q, kind):
+    # an r x 1 band has only a last column, which adds its pivots without
+    # an update; every column of a 1 x c band reaches row 0 alone, so row
+    # 0 pivots at most once however many of its entries are nonzero; a
+    # column 0 that reaches one row is followed by a column 1 that reaches
+    # several; and a column that is zero in every matrix has no pivot
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, 6)
+    seen = set()
+    for rows in _edge_batches(q, kind):
+        mats = np.array(rows, dtype=tables.dtype)
+        if kind == "column 0 on row 0 only":
+            assert mats[:, 1:, 1].any()
+        expected = [_padded_rank(ctx, m) for m in rows]
+        assert [int(r) for r in rank_batch(mats, tables)] == expected, rows
+        seen.update(expected)
+    if kind in ("r x 1", "1 x c"):
+        assert seen == {0, 1}
 
 
 def _layouts(rows: list, dtype) -> dict:
