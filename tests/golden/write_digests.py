@@ -9,7 +9,8 @@ form, JSON with sorted keys and plain ints (no pickle, no repr of numpy
 scalars), and ``digests.json`` keeps the sha256 of that text together
 with the route, the field (with its modulus over GF(p^k)) and the worker
 count.  ``tests/test_golden.py`` recomputes every label and compares, so
-a change that moves any count of any route fails the default suite.
+a change that moves any count of any route fails the default suite
+(``LABELS``) or ``pytest -m slow`` (``SLOW_LABELS``, the larger fields).
 Rewrite the file only for a change that is meant to move an output, and
 name the labels that moved, and why, in CHANGES.md.
 """
@@ -26,7 +27,7 @@ from kirillov.typea import brute_force_census
 
 PATH = Path(__file__).with_name("digests.json")
 
-# label -> (route, q, n or None, workers)
+# label -> (route, q, n or None, workers); the default suite checks these
 LABELS = {
     **{f"g2 exhaustive GF({q}) {w}w": ("g2-exhaustive", q, None, w)
        for q in (5, 7) for w in (1, 2)},
@@ -37,6 +38,23 @@ LABELS = {
        for q in qs},
 }
 
+# the prime powers from 16 to 125
+_N3_FIELDS = (16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59,
+              61, 64, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113,
+              121, 125)
+
+# labels only ``pytest -m slow`` checks.  Weighted g2 over GF(49) alone
+# takes about 16 s.  The n = 3 labels over GF(107), GF(109) and GF(113)
+# are the only ones whose prime-field kernels run on int32.
+SLOW_LABELS = {
+    **{f"g2 weighted GF({q})": ("g2-weighted", q, None, 1)
+       for q in (23, 25, 49)},
+    **{f"typea n={n} GF({q})": ("typea", q, n, 1)
+       for n, qs in ((4, (16,)), (2, (169,)), (3, _N3_FIELDS)) for q in qs},
+}
+
+ALL_LABELS = {**LABELS, **SLOW_LABELS}
+
 
 def _plain(counts: dict) -> list:
     return sorted([list(key), int(cnt)] for key, cnt in counts.items())
@@ -44,7 +62,7 @@ def _plain(counts: dict) -> list:
 
 def output(label: str) -> dict:
     """The output of the census ``label`` names, in plain ints and lists."""
-    route, q, n, workers = LABELS[label]
+    route, q, n, workers = ALL_LABELS[label]
     ctx = field_of_order(q)
     if route == "typea":
         return {"counts": _plain(brute_force_census(n, ctx, workers=workers))}
@@ -62,7 +80,7 @@ def digest(label: str) -> str:
 
 
 def record(label: str) -> dict:
-    route, q, n, workers = LABELS[label]
+    route, q, n, workers = ALL_LABELS[label]
     ctx = field_of_order(q)
     return {"route": route, "n": n, "q": q, "p": ctx.p, "k": ctx.k,
             "modulus": None if ctx.modulus is None else list(ctx.modulus),
@@ -70,7 +88,7 @@ def record(label: str) -> dict:
 
 
 def main() -> None:
-    records = {label: record(label) for label in LABELS}
+    records = {label: record(label) for label in ALL_LABELS}
     PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
 
