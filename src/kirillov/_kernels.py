@@ -49,10 +49,27 @@ to 0.006 s (1.1 ms to 0.1 ms for 32,768 indices of 6 digits).  On
 read-modify-write took 0.50 ms per column, and a broadcast comparison
 with the pivot rows 0.08 ms.  Writing the ranks of the single Jordan
 blocks of 32,768 matrices (n = 4, GF(9)) through a boolean mask took
-0.75 ms, and a broadcast product 0.04 ms (2-vCPU Xeon, numpy 2.4).  The
-pivot values are still read by a fancy index: taking them with the flat
-``take`` that fetches the pivot rows saved 0.1 ms per column on its own,
-but nothing measurable over whole censuses.
+0.75 ms, and a broadcast product 0.04 ms (2-vCPU Xeon, numpy 2.4).  No
+kernel reduces or indexes across the row axis of a (rows, B) array:
+numpy runs ``argmax`` over that axis, and a fancy index across it, one
+matrix at a time, while an elementwise step on each row is vectorized
+along the batch.  So ``rank_batch`` marks each column's pivots with a
+one-hot mask down the rows, not with ``argmax`` and a fancy index.  On a
+(3, 32,768) mask, ``argmax`` took 0.69 ms and reading the pivot values by
+fancy index 0.14 to 0.20 ms, while the running OR that builds the one-hot
+mask took 0.02 ms and the masked sum that reads the values 0.01 to 0.02
+ms; one ``rank_batch`` call on 32,768 3 x 3 bands over GF(9) went from
+1.30 to 1.35 ms to 0.50 to 0.64 ms.
+
+Every reduction mod p of an array is ``_mod_p``, x - x // p * p in place,
+not ``%`` or ``np.mod``: numpy 2.4 vectorizes floor division by a scalar
+(division by an invariant integer, Granlund and Montgomery, PLDI 1994)
+but computes the remainder one element at a time.  On 65,536 entries,
+``x % 7`` took 0.46 ms on int8 and 0.39 ms on int16, and the floor
+division form 0.012 and 0.017 ms; ``x % 107`` on int32 0.51 ms against
+0.036 ms.  The delayed reduction (see ``rank_batch``) keeps the number of
+reductions low, and this keeps each one cheap.  All figures in this
+paragraph and the one above: 2-vCPU Xeon, numpy 2.4.
 
 Every limit on the element type is one number, ``FieldTables.bound(m)``:
 the largest value any kernel forms on matrices with m columns, m (p-1)^2
@@ -72,12 +89,19 @@ is refused even when its ranks would fit.  The two kernels around them
 check their own limits: ``decode_mixed_radix`` raises unless its type
 holds the largest digit, and ``encode_sequences`` unless each sequence
 fits a 64-bit key.  The Python ints mixed into these arrays
-(q in ``_gather``, p in ``% p``, the Chevalley coefficients once
+(q in ``_gather``, p in ``_mod_p``, the Chevalley coefficients once
 ``scale_int`` has reduced them) fit too; under numpy 2 (NEP 50) one that
-did not would raise, not wrap.  On 32,768 matrices of 4 x 4 over GF(9),
-``power_rank_sequences`` took 8.2 ms on int32 and 4.4 ms on int8; on
-32,768 matrices of 7 x 7 over GF(7), 31.8 ms on int32 and 24.8 ms on
-int16 (2-vCPU Xeon, numpy 2.4).
+did not would raise, not wrap.  The one value formed outside these
+limits is ``x // p * p`` in ``_mod_p``, which lies in [x - (p-1), x]: it
+can fall below the type's minimum only for x within p - 2 of it, and
+there it wraps.  The wrap cancels in the subtraction that follows,
+because numpy's integer arithmetic is two's complement (exact mod
+2^bits) and the residue x mod p fits the type, so the result is exact on
+every value of the type (checked on every int8 and int16 value in the
+tests).  On 32,768 matrices of 4 x 4 over GF(9), ``power_rank_sequences``
+took 8.2 ms on int32 and 4.4 ms on int8; on 32,768 matrices of 7 x 7
+over GF(7), 31.8 ms on int32 and 24.8 ms on int16 (2-vCPU Xeon, numpy
+2.4).
 
 Both censuses run on ``run_census``: a family supplies a chunk function
 and its work units, and the engine deals them into shares and adds the
@@ -107,6 +131,12 @@ DEFAULT_BATCH = 1 << 15
 def _check_fits(bound: int, dtype, what: str) -> None:
     if bound > np.iinfo(dtype).max:
         raise OverflowError(f"{what} overflow {np.dtype(dtype).name}")
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, as x - x // p * p (see the module docstring)."""
+    x -= x // p * p
+    return x
 
 
 def _narrowest_int(bound: int, what: str):
@@ -180,6 +210,16 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     pivots.  Exact: for k = 1 all arithmetic is on integers mod p, for
     k > 1 it is gathers from the field's tables.
 
+    The pivots are a one-hot (rows, B) mask, ``first``, not an index: a
+    running OR down the candidate rows (free and nonzero in the column)
+    keeps in each matrix only the first of them, and the OR itself says
+    which matrices have a pivot.  The pivot value is the sum of the
+    column under that mask and the pivot row the sum of the trailing
+    block under it, each sum having one nonzero term; the pivot leaves
+    the free mask by clearing it.  Every step is elementwise along the
+    batch, where ``argmax`` over the rows and a fancy index of the pivot
+    across them are not (figures in the module docstring).
+
     The elimination runs on a batch-last (r, c, B) copy: every operation
     then loops over the B matrices in its innermost loop rather than over
     a row of 2 to 7 entries.  It is a fresh copy (never a view of
@@ -204,17 +244,18 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
 
     For k = 1 the reduction mod p is delayed (Dumas, Giorgi and Pernet,
     FFLAS-FFPACK): only the current column and the pivot row are reduced,
-    for the zero test and the update factors, while the trailing block
-    is not.  Each column subtracts at most (p-1)^2 from an entry, so over
-    c columns entries stay within (p-1) + (c-1)(p-1)^2 of zero, which is
-    below ``t.bound(c)``.  The entries of ``mats`` must be field-encoded
-    (residues in 0..p-1 for k = 1), so the batch is copied without a
-    reduction.  Raises OverflowError unless the dtype of ``mats`` holds
-    ``t.bound(c)``; the ranks, at most c, are returned in that dtype.  A
-    batch with no nonzero entry (an empty batch, or one of the all-zero
-    bands that ``power_rank_sequences`` ranks past the first zero power)
-    has rank 0 and is not eliminated; the zero test runs on the
-    contiguous copy, which costs far less than on a strided band.
+    in place by ``_mod_p``, for the zero test and the update factors,
+    while the trailing block is not.  Each column subtracts at most
+    (p-1)^2 from an entry, so over c columns entries stay within
+    (p-1) + (c-1)(p-1)^2 of zero, which is below ``t.bound(c)``.  The
+    entries of ``mats`` must be field-encoded (residues in 0..p-1 for
+    k = 1), so the batch is copied without a reduction.  Raises
+    OverflowError unless the dtype of ``mats`` holds ``t.bound(c)``; the
+    ranks, at most c, are returned in that dtype.  A batch with no nonzero
+    entry (an empty batch, or one of the all-zero bands that
+    ``power_rank_sequences`` ranks past the first zero power) has rank 0
+    and is not eliminated; the zero test runs on the contiguous copy,
+    which costs far less than on a strided band.
     """
     p, prime = t.p, t.k == 1
     bsize, nrows, ncols = mats.shape
@@ -228,19 +269,22 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     # lead of a row is its first column that is nonzero in some matrix
     # (an all-zero row leads at ncols)
     nonzero = a.any(axis=2)
-    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), ncols)
+    lead = (~np.logical_or.accumulate(nonzero, axis=1)).sum(axis=1)
     reach = np.zeros(ncols + 1, dtype=np.intp)
     np.maximum.at(reach, lead, np.arange(1, nrows + 1))
     reach = np.maximum.accumulate(reach)
     free = np.ones((nrows, bsize), dtype=bool)
-    rows = np.arange(nrows)[:, None]
-    bidx = np.arange(bsize)
-    flat = a.reshape(-1)
     for col in range(ncols):
         hi = reach[col]
-        colv = a[:hi, col] % p if prime else a[:hi, col]
-        cand = free[:hi] & (colv != 0)
-        has = cand.any(axis=0)
+        colv = _mod_p(a[:hi, col], p) if prime else a[:hi, col]
+        # first: the pivot, the first free row nonzero in this column, as
+        # a one-hot mask down the rows, by a running OR (has) of the rows
+        # above; after the loop, has marks the matrices with a pivot
+        first = free[:hi] & (colv != 0)
+        has = np.zeros(bsize, dtype=bool)
+        for r in range(hi):
+            first[r] &= ~has
+            has |= first[r]
         if not has.any():
             continue
         rank += has
@@ -249,23 +293,20 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
         if hi == 1:
             free[0] &= ~has
             continue
-        piv = cand.argmax(axis=0)
-        scale = t.inv_t[colv[piv, bidx]]
+        scale = t.inv_t.take((colv * first).sum(axis=0, dtype=a.dtype))
         # the pivot leaves the free mask before the factors are masked by
         # it, which zeroes them on the pivot row and on earlier pivot
         # rows, so those keep their echelon entries (the ranks never read
         # them again); a matrix without a pivot here is zero on its free
         # rows, so its factors are all zero
-        free[:hi] &= (rows[:hi] != piv) | ~has
-        f = np.where(free[:hi], colv, 0)
+        free[:hi] &= ~first
+        f = colv * free[:hi]
         tail = a[:hi, col + 1:]
-        # the pivot rows right of col, batch-last: entry (j, b) is
-        # a[piv[b], j, b], at flat index (piv[b] * ncols + j) * bsize + b
-        pivrow = flat.take((piv * ncols + np.arange(col + 1, ncols)[:, None])
-                           * bsize + bidx)
+        pivrow = (tail * first[:, None, :]).sum(axis=0, dtype=a.dtype)
         if prime:
-            f = f * scale % p
-            np.mod(pivrow, p, out=pivrow)
+            f *= scale
+            _mod_p(f, p)
+            _mod_p(pivrow, p)
             tail -= f[:, None, :] * pivrow
         else:
             f = t.mul(f, scale)
@@ -283,9 +324,9 @@ def _band_product(t: "FieldTables", power: np.ndarray, base: np.ndarray,
     is X, both batch-last.  Entry (r, c) sums X^(i-1)[r, l] X[l, c] over
     r + i - 1 <= l < c, so term l touches only rows r <= l - i + 1 and
     columns c > l.  For k = 1 the terms are added as integers and reduced
-    mod p once at the end (at most n - 1 products of residues, which
-    ``t.bound(n)`` covers); for k > 1 every product and sum is a table
-    gather.
+    mod p once at the end, by ``_mod_p`` (at most n - 1 products of
+    residues, which ``t.bound(n)`` covers); for k > 1 every product and
+    sum is a table gather.
     """
     n = base.shape[0]
     out = np.zeros((n - i, n, base.shape[2]), dtype=base.dtype)
@@ -298,7 +339,7 @@ def _band_product(t: "FieldTables", power: np.ndarray, base: np.ndarray,
             block[...] = t.add(block, t.mul(power[:r_hi, l, None],
                                             base[None, l, l + 1:]))
     if t.k == 1:
-        np.mod(out, t.p, out=out)
+        _mod_p(out, t.p)
     return out
 
 
@@ -451,17 +492,17 @@ class FieldTables:
 
     def add(self, x, y):
         if self.k == 1:
-            return (x + y) % self.p
+            return _mod_p(x + y, self.p)
         return self._gather(self.add_t, x, y)
 
     def sub(self, x, y):
         if self.k == 1:
-            return (x - y) % self.p
+            return _mod_p(x - y, self.p)
         return self._gather(self.sub_t, x, y)
 
     def mul(self, x, y):
         if self.k == 1:
-            return (x * y) % self.p
+            return _mod_p(x * y, self.p)
         return self._gather(self.mul_t, x, y)
 
     def scale_int(self, m: int, x):
