@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from kirillov._kernels import (
     FieldTables,
     _generator_powers,
+    _mod_p,
     decode_mixed_radix,
     decode_sequence,
     encode_sequences,
@@ -610,6 +611,64 @@ def test_rank_batch_is_exact_where_columns_skip_the_row_update(q, kind):
         seen.update(expected)
     if kind in ("r x 1", "1 x c"):
         assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 127])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_mod_p_equals_the_remainder(dtype, p):
+    # every value of int8 and int16; for the wider types a random sample
+    # and both ends, where x // p * p wraps below the minimum
+    info = np.iinfo(dtype)
+    if info.bits <= 16:
+        x = np.arange(info.min, info.max + 1, dtype=dtype)
+    else:
+        rng = np.random.default_rng(p)
+        x = np.concatenate([
+            rng.integers(info.min, info.max, 1 << 16, dtype=dtype,
+                         endpoint=True),
+            np.array([info.min, info.min + 1, -1, 0, 1, info.max],
+                     dtype=dtype)])
+    expected = x % p
+    got = _mod_p(x, p)
+    assert got is x and got.dtype == dtype
+    assert np.array_equal(got, expected)
+
+
+def _competing_rows(rng, q: int, n: int, col: int) -> list:
+    """An n x n matrix over GF(q) whose column ``col`` has no pivot
+    candidate in row 0 but two or more in later rows: row 0 is zero there
+    (col = 0) or has already pivoted in column 0 (col = 1)."""
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    if col == 1:
+        rows[0][0] = rng.randrange(1, q)
+        for row in rows[1:]:
+            row[0] = 0
+    rows[0][col] = 0
+    rivals = rng.sample(range(1, n), rng.randrange(2, n))
+    for r in range(1, n):
+        rows[r][col] = rng.randrange(1, q) if r in rivals else 0
+    return rows
+
+
+@pytest.mark.parametrize("q, dtype", [(5, np.int8), (7, np.int16),
+                                      (9, np.int8), (25, np.int16)])
+@pytest.mark.parametrize("col", [0, 1])
+def test_rank_batch_picks_the_first_of_several_later_pivot_rows(q, dtype,
+                                                                 col):
+    # the one-hot pivot must keep only the first candidate row of each
+    # matrix; GF(5) at n = 7 runs on int8, whose maximum 127 is just above
+    # the bound 7 (5-1)^2 = 112 of the delayed reduction
+    n = 7
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, n)
+    assert tables.dtype is dtype
+    rng = random.Random(f"{q} {col}")
+    rows = [_competing_rows(rng, q, n, col) for _ in range(40)]
+    for ncols in (n, 3):
+        band = [[row[:ncols] for row in m] for m in rows]
+        ranks = rank_batch(np.array(band, dtype=dtype), tables)
+        assert [int(r) for r in ranks] == \
+            [_padded_rank(ctx, m) for m in band]
 
 
 def _layouts(rows: list, dtype) -> dict:
