@@ -61,15 +61,15 @@ mask took 0.02 ms and the masked sum that reads the values 0.01 to 0.02
 ms; one ``rank_batch`` call on 32,768 3 x 3 bands over GF(9) went from
 1.30 to 1.35 ms to 0.50 to 0.64 ms.
 
-Every reduction mod p of an array is ``_mod_p``, x - x // p * p in place,
-not ``%`` or ``np.mod``: numpy 2.4 vectorizes floor division by a scalar
-(division by an invariant integer, Granlund and Montgomery, PLDI 1994)
-but computes the remainder one element at a time.  On 65,536 entries,
-``x % 7`` took 0.46 ms on int8 and 0.39 ms on int16, and the floor
-division form 0.012 and 0.017 ms; ``x % 107`` on int32 0.51 ms against
-0.036 ms.  The delayed reduction (see ``rank_batch``) keeps the number of
-reductions low, and this keeps each one cheap.  All figures in this
-paragraph and the one above: 2-vCPU Xeon, numpy 2.4.
+Every reduction mod p of an array is ``_mod_p``, x - x // p * p in place
+with one temporary, not ``%`` or ``np.mod``: numpy 2.4 vectorizes floor
+division by a scalar (division by an invariant integer, Granlund and
+Montgomery, PLDI 1994) but computes the remainder one element at a time.
+On 65,536 entries, ``x % 7`` took 0.46 ms on int8 and 0.39 ms on int16,
+and the floor division form 0.012 and 0.017 ms; ``x % 107`` on int32
+0.51 ms against 0.036 ms.  The delayed reduction (see ``rank_batch``)
+keeps the number of reductions low, and this keeps each one cheap.  All
+figures in this paragraph and the one above: 2-vCPU Xeon, numpy 2.4.
 
 Every limit on the element type is one number, ``FieldTables.bound(m)``:
 the largest value any kernel forms on matrices with m columns, m (p-1)^2
@@ -135,7 +135,9 @@ def _check_fits(bound: int, dtype, what: str) -> None:
 
 def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place, as x - x // p * p (see the module docstring)."""
-    x -= x // p * p
+    r = x // p
+    r *= p
+    x -= r
     return x
 
 

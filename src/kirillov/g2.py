@@ -332,31 +332,33 @@ def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
     t = _field_tables(ctx)
     a, b, c, d, e, f = params
     b, c, d, e = (np.array([x], dtype=t.dtype) for x in (b, c, d, e))
-    return tuple(int(r) for r in _predicted_batch(t, a, f, b, c, d, e)[0])
+    return tuple(int(r) for r in
+                 _predicted_batch(t, _case_of(a, f), a, f, b, c, d, e)[0])
 
 
-def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
+def _predicted_batch(t: FieldTables, case, a, f, b, c, d, e) -> np.ndarray:
     """Rank sequences of X predicted from polynomial predicates alone, one
-    row for each tuple of the b..e arrays (of ``t.dtype``) at fixed a, f.
+    row for each tuple of the b..e arrays (of ``t.dtype``), all in the
+    ``case`` of ``_case_of``.  ``f`` is one value or the batch's f column.
 
-    Outside the a*f != 0 regime every power beyond X^2 vanishes, so the
-    sequence is determined by rank X and rank X^2:
+    Outside case 1 every power beyond X^2 vanishes, so the sequence is
+    determined by rank X and rank X^2:
 
-    - a, f nonzero: always (6,5,4,3,2,1).
-    - a = 0, f != 0: (2,0,...) iff b^2+cf = 0 = bc+df; otherwise rank X^2
-      drops to 1 exactly when (bc+df)^2 - 4(b^2+cf)(c^2-bd) = 0.
-    - a != 0, f = 0: rank X is always 4; rank X^2 is 1 iff 4ae-4bd+3c^2 = 0.
-    - a = f = 0: rank X is 4 unless b = c = 0 (then 2 unless d = e = 0);
-      rank X^2 is 1 iff (b != 0 and 3c^2-4bd = 0) or (b = 0 and c != 0).
+    1. a, f nonzero: always (6,5,4,3,2,1).
+    2. a = 0, f != 0: (2,0,...) iff b^2+cf = 0 = bc+df; otherwise rank X^2
+       drops to 1 exactly when (bc+df)^2 - 4(b^2+cf)(c^2-bd) = 0.
+    3. a != 0, f = 0: rank X is always 4; rank X^2 is 1 iff 4ae-4bd+3c^2 = 0.
+    4. a = f = 0: rank X is 4 unless b = c = 0 (then 2 unless d = e = 0);
+       rank X^2 is 1 iff (b != 0 and 3c^2-4bd = 0) or (b = 0 and c != 0).
 
     These are the only copy of the predicates: the census checks them
     against the computed rank sequence of every tuple it enumerates.
     """
     out = np.zeros((6, len(b)), dtype=b.dtype).T  # columns stored batch-last
-    if a and f:
+    if case == 1:
         out[:] = FULL_RANK_SEQ
         return out
-    if f:  # a == 0
+    if case == 2:
         u = t.add(t.mul(b, b), t.mul(c, f))
         v = t.add(t.mul(b, c), t.mul(d, f))
         w = t.sub(t.mul(c, c), t.mul(b, d))
@@ -365,7 +367,7 @@ def _predicted_batch(t: FieldTables, a: int, f: int, b, c, d, e) -> np.ndarray:
         out[:, 0] = np.where(quiet, 2, 4)
         out[:, 1] = np.where(quiet, 0, np.where(disc == 0, 1, 2))
         return out
-    if a:  # f == 0
+    if case == 3:
         val = t.add(t.sub(t.scale_int(4, t.mul(a, e)),
                           t.scale_int(4, t.mul(b, d))),
                     t.scale_int(3, t.mul(c, c)))
@@ -406,28 +408,17 @@ def _case_of(a: int, f: int) -> int:
     return 4
 
 
-# The exhaustive route shares a batch among as many whole slices of one
-# case as fit in this many tuples.  Over GF(7) (2,401 tuples a slice),
-# batches of 1, 2, 3 and 6 slices took 31.7, 29.6, 28.5 and 26.9 ms per
-# census and peaked at 32.3, 33.2, 33.8 and 36.0 MiB (best of 60 runs,
-# 2-vCPU Xeon, numpy 2.4): three slices keep most of the gain for under
-# half the memory of six.  Past the cap (q >= 11) each slice is batched
-# on its own: in a prototype, shared 32,768-tuple batches made the census
-# over GF(11) slower (0.354 to 0.437 s).
+# The census cuts each case block into the fewest batches of at most this
+# many tuples, of sizes differing by at most one.  Over GF(7) (2,401 tuples
+# a slice), batches of 1, 2, 3 and 6 slices took 31.7, 29.6, 28.5 and 26.9
+# ms per census and peaked at 32.3, 33.2, 33.8 and 36.0 MiB (best of 60
+# runs, 2-vCPU Xeon, numpy 2.4): three slices keep most of the gain for
+# under half the memory of six.  Past GF(7) it cuts inside slices, which
+# against batches of one slice cut at 32,768 tuples took the exhaustive
+# census over GF(11) from 0.169 to 0.151 s and the weighted one over GF(25)
+# from 0.70 to 0.52 s (in-process medians), and a process that runs the
+# censuses at q >= 11 from 45 to 34 MiB of peak memory.
 _SHARED_BATCH = DEFAULT_BATCH // 4
-
-
-def _slice_ranges(first: int, last: int, inner: int) -> list[tuple[int, int]]:
-    """The batches over slices first..last-1 of ``inner`` tuples each, as
-    index ranges: runs of whole slices of at most ``_SHARED_BATCH`` tuples
-    when a slice fits there, else each slice cut at ``DEFAULT_BATCH``."""
-    per = _SHARED_BATCH // inner
-    if per:
-        stop = last * inner
-        return [(lo, min(lo + per * inner, stop))
-                for lo in range(first * inner, stop, per * inner)]
-    return [(f * inner + lo, f * inner + min(lo + DEFAULT_BATCH, inner))
-            for f in range(first, last) for lo in range(0, inner, DEFAULT_BATCH)]
 
 
 def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
@@ -435,47 +426,40 @@ def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
     range lo..hi-1 of the q^5 tuples (f, b, c, d, e) in radix q, f most
     significant, so that the slice of one f is a run of q^4 indices.
 
-    Exhaustive: for every a, the slice f = 0 and the slices f != 0, each
-    in batches of ``_slice_ranges``, with weight 1.  Sharing a batch among
-    whole slices saves rank-kernel calls (21 instead of 49 over GF(7));
-    the cap of ``_SHARED_BATCH`` = 8,192 tuples, three slices over GF(7),
-    is where a sweep of the batch size found most of the speed-up for
-    1.5 MiB more peak memory (the figures are at its definition).
-
-    Weighted: the torus (see ``torus_weights``) scales a by any nonzero
-    s1 and f by any nonzero s2 while it maps the (b, c, d, e) of a slice
-    bijectively onto those of the image slice and keeps every Jordan
-    type.  So all slices with a != 0 tally alike, and likewise for f;
-    (a, f) in {0, 1}^2 each stand for (q-1)^([a != 0] + [f != 0]) slices.
-
-    No unit mixes f = 0 with f != 0, so each has one case (raises
-    AssertionError otherwise).
+    Each case block is cut into the fewest units of at most
+    ``_SHARED_BATCH`` tuples, of sizes differing by at most one, so each
+    unit has one case.  Exhaustive: at every a, the blocks f = 0 and
+    f != 0, with weight 1.  Weighted: the torus (see ``torus_weights``)
+    scales a by any nonzero s1 and f by any nonzero s2 while it maps the
+    (b, c, d, e) of a slice bijectively onto those of the image slice and
+    keeps every Jordan type.  So all slices with a != 0 tally alike, and
+    likewise for f; the blocks are the slices (a, f) in {0, 1}^2, each
+    standing for (q-1)^([a != 0] + [f != 0]) slices.
     """
     inner = q**4
     if exhaustive:
-        units = [(a, lo, hi, 1) for a in range(q)
-                 for first, last in ((0, 1), (1, q))
-                 for lo, hi in _slice_ranges(first, last, inner)]
+        blocks = [(a, lo, hi, 1) for a in range(q)
+                  for lo, hi in ((0, inner), (inner, q * inner))]
     else:
         torus_weights()  # raises unless the basis is graded as assumed above
-        units = [(a, lo, hi, (q - 1) ** (a + f)) for a in (0, 1) for f in (0, 1)
-                 for lo, hi in _slice_ranges(f, f + 1, inner)]
-    for a, lo, hi, _ in units:
-        if (lo < inner) != (hi <= inner):
-            raise AssertionError(f"unit {lo}..{hi} at a={a} mixes f = 0 "
-                                 f"with f != 0")
+        blocks = [(a, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
+                  for a in (0, 1) for f in (0, 1)]
+    units = []
+    for a, lo, hi, weight in blocks:
+        parts = -(-(hi - lo) // _SHARED_BATCH)
+        cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+        units += [(a, x, y, weight) for x, y in zip(cuts, cuts[1:])]
     return units
 
 
 def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
     tables = FieldTables(ctx, DIM)
     q = ctx.q
-    inner = q**4
     tally: dict[tuple, int] = {}
     for a_val, lo, hi, weight in units:
         digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype)
-        f_arr, b_arr, c_arr, d_arr, e_arr = (digits[:, i] for i in range(5))
-        params = (a_val, b_arr, c_arr, d_arr, e_arr, f_arr)
+        f, b, c, d, e = (digits[:, i] for i in range(5))
+        params = (a_val, b, c, d, e, f)
         mats = np.zeros((DIM, DIM, hi - lo), dtype=tables.dtype)
         columns = {}  # (param, coeff mod p) -> its scaled column
         for i, j, param, coeff in entry_table():
@@ -486,23 +470,17 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
             mats[i, j] = columns[key]
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
-        for f_val in range(lo // inner, (hi - 1) // inner + 1):
-            rows = slice(max(lo, f_val * inner) - lo,
-                         min(hi, (f_val + 1) * inner) - lo)
-            b, c, d, e = (x[rows] for x in (b_arr, c_arr, d_arr, e_arr))
-            pred = _predicted_batch(tables, a_val, f_val, b, c, d, e)
-            got = seqs[rows]
-            bad = (got != pred).any(axis=1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise PredicateMismatch(
-                    f"q={q} params (a,b,c,d,e,f)="
-                    f"({a_val},{int(b[i])},{int(c[i])},{int(d[i])},"
-                    f"{int(e[i])},{f_val}): predicted "
-                    f"{tuple(int(x) for x in pred[i])}, "
-                    f"computed {tuple(int(x) for x in got[i])}")
-        tally_keys(tally, encode_sequences(seqs), DIM - 1, weight,
-                   (_case_of(a_val, lo // inner),))
+        case = _case_of(a_val, lo // q**4)
+        pred = _predicted_batch(tables, case, a_val, f, b, c, d, e)
+        bad = (seqs != pred).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            bcdef = ",".join(str(x[i]) for x in (b, c, d, e, f))
+            raise PredicateMismatch(
+                f"q={q} params (a,b,c,d,e,f)=({a_val},{bcdef}): predicted "
+                f"{tuple(pred[i].tolist())}, "
+                f"computed {tuple(seqs[i].tolist())}")
+        tally_keys(tally, encode_sequences(seqs), DIM - 1, weight, (case,))
     return tally
 
 
@@ -520,10 +498,10 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     By default the census walks all q^6 tuples.  ``exhaustive=False``
     enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
     (a, f) slice by the number of slices its torus orbit covers.  The work
-    units of ``run_census`` are the ranges of ``_census_units``, each one
-    batch of whole slices of one case when q^4 <= 8,192 (over GF(7), 21
-    batches of up to three slices instead of 49 of one), so that each
-    batch takes one call of the rank kernel.  ``budget`` bounds the tuples
+    units of ``run_census`` are the ranges of ``_census_units``, each a
+    batch of at most 8,192 tuples of one case (over GF(7), 21 batches of
+    one or three slices instead of 49 of one) that takes one call of the
+    rank kernel and one of the predicate.  ``budget`` bounds the tuples
     the chosen route enumerates.
     Rank sequences are computed from the matrices themselves; the
     polynomial predicates of ``_predicted_batch`` are validated against

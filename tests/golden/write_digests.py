@@ -31,6 +31,8 @@ PATH = Path(__file__).with_name("digests.json")
 LABELS = {
     **{f"g2 exhaustive GF({q}) {w}w": ("g2-exhaustive", q, None, w)
        for q in (5, 7) for w in (1, 2)},
+    # the one label whose exhaustive batches cut a block inside a slice
+    "g2 exhaustive GF(11) 1w": ("g2-exhaustive", 11, None, 1),
     **{f"g2 weighted GF({q})": ("g2-weighted", q, None, 1)
        for q in (5, 7, 13)},
     **{f"typea n={n} GF({q})": ("typea", q, n, 1)

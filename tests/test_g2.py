@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from kirillov.errors import (
@@ -290,7 +291,7 @@ def test_census_worker_determinism(monkeypatch):
     import kirillov._kernels as kernels
 
     # three CPUs, so that three workers split three ways on fewer cores;
-    # over GF(11) a slice (14,641 tuples) is too large to share a batch
+    # over GF(11) the batches cut the block f != 0 inside its slices
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     for q in (5, 7, 11):
         single = g2_census(make_prime_field(q), workers=1)
@@ -302,34 +303,56 @@ def test_census_worker_determinism(monkeypatch):
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17])
 def test_census_units_hold_one_case_in_whole_slices(q):
+    # each case block is tiled in order by the fewest units of at most
+    # 8,192 tuples, whose sizes differ by at most one
     import kirillov.g2 as g2mod
-    from kirillov._kernels import DEFAULT_BATCH
 
     inner = q**4
-    for exhaustive in (True, False):
-        for _, lo, hi, _ in g2mod._census_units(q, exhaustive):
-            assert 0 <= lo < hi <= q**5 and hi - lo <= DEFAULT_BATCH
-            assert (lo < inner) == (hi <= inner)  # f = 0 or f != 0 alone
-            if inner <= DEFAULT_BATCH // 4:
-                assert lo % inner == hi % inner == 0
-                assert hi - lo <= DEFAULT_BATCH // 4
-            else:  # batches of one slice each, cut at DEFAULT_BATCH
-                assert lo // inner == (hi - 1) // inner
-                assert lo % inner % DEFAULT_BATCH == 0
-                assert hi % inner == 0 or hi - lo == DEFAULT_BATCH
-    # GF(7): at each a the slice f = 0, then f = 1..3 and f = 4..6
-    if q == 7:
-        assert len(g2mod._census_units(q, True)) == 21
+    blocks = {
+        True: [(a, lo, hi, 1) for a in range(q)
+               for lo, hi in ((0, inner), (inner, q * inner))],
+        False: [(a, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
+                for a in (0, 1) for f in (0, 1)],
+    }
+    for exhaustive, route_blocks in blocks.items():
+        units = g2mod._census_units(q, exhaustive)
+        at = 0
+        for a, lo, hi, weight in route_blocks:
+            parts = -(-(hi - lo) // 8192)
+            block = units[at:at + parts]
+            at += parts
+            assert [u[0] for u in block] == [a] * parts
+            assert [u[3] for u in block] == [weight] * parts
+            assert block[0][1] == lo and block[-1][2] == hi
+            assert all(x[2] == y[1] for x, y in zip(block, block[1:]))
+            sizes = [u[2] - u[1] for u in block]
+            assert max(sizes) <= 8192 and max(sizes) - min(sizes) <= 1
+            assert all((u[1] < inner) == (u[2] <= inner) for u in block)
+        assert at == len(units)
+    # over GF(5) and GF(7) the units are runs of whole slices: over GF(7),
+    # the slice f = 0 and two runs of three, 21 units of 2,401 and 7,203
+    # tuples
+    runs = {5: ((0, 1), (1, 5)), 7: ((0, 1), (1, 4), (4, 7))}
+    if q in runs:
+        assert g2mod._census_units(q, True) == [
+            (a, first * inner, last * inner, 1)
+            for a in range(q) for first, last in runs[q]]
+        assert g2mod._census_units(q, False) == blocks[False]
 
 
-def test_census_units_refuse_a_range_across_the_cases(monkeypatch):
+def test_exhaustive_census_calls_the_predicate_once_per_unit(monkeypatch):
     import kirillov.g2 as g2mod
 
-    monkeypatch.setattr(g2mod, "_slice_ranges",
-                        lambda first, last, inner: [(0, last * inner)])
-    for exhaustive in (True, False):
-        with pytest.raises(AssertionError, match="mixes f = 0"):
-            g2mod._census_units(5, exhaustive)
+    original = g2mod._predicted_batch
+    calls = []
+
+    def counted(t, case, a, f, b, c, d, e):
+        calls.append(len(b))
+        return original(t, case, a, f, b, c, d, e)
+
+    monkeypatch.setattr(g2mod, "_predicted_batch", counted)
+    assert g2_census(make_prime_field(7)).total == 7**6
+    assert len(calls) == 21 and sum(calls) == 7**6
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -349,10 +372,11 @@ def test_census_checks_the_predicate_on_both_routes(monkeypatch, exhaustive):
 
     original = g2mod._predicted_batch
 
-    def wrong_on_last_tuple(t, a, f, b, c, d, e):
-        out = original(t, a, f, b, c, d, e)
-        if (a, f) == (1, 1):
-            out[-1, 0] = 0
+    def wrong_on_last_tuple(t, case, a, f, b, c, d, e):
+        # wrong on the last tuple of the slice (a, f) = (1, 1)
+        out = original(t, case, a, f, b, c, d, e)
+        if case == 1 and a == 1:
+            out[np.flatnonzero(f == 1)[-1], 0] = 0
         return out
 
     monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_last_tuple)
@@ -368,10 +392,10 @@ def test_a_mismatch_in_a_shared_batch_names_its_own_slice(monkeypatch):
     assert (0, 5**4, 5**5, 1) in g2mod._census_units(5, True)
     original = g2mod._predicted_batch
 
-    def wrong_on_the_third_slice(t, a, f, b, c, d, e):
-        out = original(t, a, f, b, c, d, e)
-        if (a, f) == (0, 3):
-            out[-1, 0] = 0
+    def wrong_on_the_third_slice(t, case, a, f, b, c, d, e):
+        out = original(t, case, a, f, b, c, d, e)
+        if case == 2:  # a = 0
+            out[np.flatnonzero(f == 3)[-1], 0] = 0
         return out
 
     monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_the_third_slice)
@@ -386,9 +410,9 @@ def test_census_checks_every_rank_of_the_predicate(monkeypatch):
 
     original = g2mod._predicted_batch
 
-    def wrong_rank_of_the_square(t, a, f, b, c, d, e):
-        out = original(t, a, f, b, c, d, e)
-        if (a, f) == (0, 1):
+    def wrong_rank_of_the_square(t, case, a, f, b, c, d, e):
+        out = original(t, case, a, f, b, c, d, e)
+        if case == 2:  # (a, f) = (0, 1) on the weighted route
             out[-1, 1] = 3 - out[-1, 1]  # 0, 1, 2 -> 3, 2, 1
         return out
 

@@ -634,6 +634,22 @@ def test_mod_p_equals_the_remainder(dtype, p):
     assert np.array_equal(got, expected)
 
 
+def test_mod_p_allocates_one_temporary():
+    # x - x // p * p as one expression holds x // p and its product with
+    # p at once, two arrays the size of x; numpy reports its buffers to
+    # tracemalloc
+    x = np.arange(1 << 19, dtype=np.int16)  # 1 MiB
+    expected = x % 7
+    tracemalloc.start()
+    try:
+        _mod_p(x, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, expected)
+    assert x.nbytes <= peak < 1.5 * x.nbytes
+
+
 def _competing_rows(rng, q: int, n: int, col: int) -> list:
     """An n x n matrix over GF(q) whose column ``col`` has no pivot
     candidate in row 0 but two or more in later rows: row 0 is zero there
@@ -915,8 +931,8 @@ def test_census_reraises_a_predicate_mismatch_from_the_child(two_cpus,
     original = g2mod._predicted_batch
     caller = os.getpid()
 
-    def wrong_in_a_child(t, a, f, b, c, d, e):
-        out = original(t, a, f, b, c, d, e)
+    def wrong_in_a_child(t, case, a, f, b, c, d, e):
+        out = original(t, case, a, f, b, c, d, e)
         if os.getpid() != caller:
             out[-1, 0] = 0
         return out
