@@ -34,6 +34,7 @@ from ._kernels import (
     merge_tallies,
     power_rank_sequences,
     run_census,
+    single_block_mask,
     tally_keys,
     usable_workers,
 )
@@ -457,10 +458,22 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
     q = ctx.q
     tally: dict[tuple, int] = {}
     for a_val, lo, hi, weight in units:
-        digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype)
-        f, b, c, d, e = (digits[:, i] for i in range(5))
-        params = (a_val, b, c, d, e, f)
-        mats = np.zeros((DIM, DIM, hi - lo), dtype=tables.dtype)
+        digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype).T
+        f, b, c, d, e = digits
+        coords = (a_val, b, c, d, e, f)
+        case = _case_of(a_val, lo // q**4)
+        single = single_block_mask(
+            DIM, [(i, j, coords[param], coeff)
+                  for i, j, param, coeff in entry_table()], ctx.p, hi - lo)
+        singles = int(np.count_nonzero(single))
+        rest = digits
+        if singles:
+            full = (case, FULL_RANK_SEQ)
+            tally[full] = tally.get(full, 0) + weight * singles
+            rest = digits.compress(~single, axis=1)
+        f_r, b_r, c_r, d_r, e_r = rest
+        params = (a_val, b_r, c_r, d_r, e_r, f_r)
+        mats = np.zeros((DIM, DIM, f_r.size), dtype=tables.dtype)
         columns = {}  # (param, coeff mod p) -> its scaled column
         for i, j, param, coeff in entry_table():
             key = (param, coeff % ctx.p)
@@ -470,16 +483,21 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
             mats[i, j] = columns[key]
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
-        case = _case_of(a_val, lo // q**4)
+        # every tuple is checked, the single blocks against (6,5,4,3,2,1)
+        computed = seqs
+        if singles:
+            computed = np.empty((DIM - 1, hi - lo), dtype=tables.dtype).T
+            computed[:] = FULL_RANK_SEQ
+            computed[~single] = seqs
         pred = _predicted_batch(tables, case, a_val, f, b, c, d, e)
-        bad = (seqs != pred).any(axis=1)
+        bad = (computed != pred).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             bcdef = ",".join(str(x[i]) for x in (b, c, d, e, f))
             raise PredicateMismatch(
                 f"q={q} params (a,b,c,d,e,f)=({a_val},{bcdef}): predicted "
                 f"{tuple(pred[i].tolist())}, "
-                f"computed {tuple(seqs[i].tolist())}")
+                f"computed {tuple(computed[i].tolist())}")
         tally_keys(tally, encode_sequences(seqs), DIM - 1, weight, (case,))
     return tally
 
@@ -503,9 +521,13 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     one or three slices instead of 49 of one) that takes one call of the
     rank kernel and one of the predicate.  ``budget`` bounds the tuples
     the chosen route enumerates.
-    Rank sequences are computed from the matrices themselves; the
-    polynomial predicates of ``_predicted_batch`` are validated against
-    the computed sequence for every enumerated tuple, and any
+    Rank sequences are computed from the matrices themselves.  The single
+    Jordan blocks, whose superdiagonal entries a, f, 2a, a, f, a are all
+    nonzero (the tuples of case 1), are counted in each batch before it is
+    assembled (``single_block_mask``), with the sequence (6,5,4,3,2,1);
+    only the rest is assembled and ranked.  The polynomial
+    predicates of ``_predicted_batch`` are validated against the computed
+    sequence for every enumerated tuple, single blocks included, and any
     disagreement aborts the census.  Raises ValueError unless ``workers``
     >= 1.
     """

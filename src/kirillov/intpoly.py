@@ -663,14 +663,14 @@ def irreducibility(r: IntPoly) -> Verdict:
 
     primes = _first_primes_over_3(CERTIFICATE_PRIMES, abs(r.leading))
     candidate = set(range(1, r.degree // 2 + 1))
-    for p in primes:
+    for i, p in enumerate(primes):
         degs = ddf_degrees(r, p)
         if degs == [r.degree]:
             return Verdict(kind="irreducible", method="mod-p", witness=(p,))
         candidate &= _subset_sums(degs)
         if not candidate:
             return Verdict(kind="irreducible", method="degree-set",
-                           witness=tuple(primes))
+                           witness=tuple(primes[:i + 1]))
     found = _kronecker_search(r, candidate)
     if found is not None:
         g, h = found

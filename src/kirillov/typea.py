@@ -30,6 +30,7 @@ from ._kernels import (
     merge_tallies,
     power_rank_sequences,
     run_census,
+    single_block_mask,
     tally_keys,
     usable_workers,
 )
@@ -129,12 +130,19 @@ UNITS_PER_WORKER = 8
 def _census_chunk(ctx: FieldCtx, n: int, ranges: list) -> dict:
     tables = FieldTables(ctx, n)
     rows, cols = np.triu_indices(n, 1)
+    single_key = (tuple(range(n - 1, 0, -1)),)
     tally: dict[tuple, int] = {}
     for lo, hi in ranges:
         digits = decode_mixed_radix(lo, hi, ctx.q, len(rows),
-                                    dtype=tables.dtype)
-        mats = np.zeros((n, n, hi - lo), dtype=tables.dtype)
-        mats[rows, cols] = digits.T
+                                    dtype=tables.dtype).T
+        terms = [(i, j, x, 1) for i, j, x in zip(rows, cols, digits)]
+        single = single_block_mask(n, terms, ctx.p, hi - lo)
+        singles = int(np.count_nonzero(single))
+        if singles:
+            tally[single_key] = tally.get(single_key, 0) + singles
+            digits = digits.compress(~single, axis=1)
+        mats = np.zeros((n, n, digits.shape[1]), dtype=tables.dtype)
+        mats[rows, cols] = digits
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
         tally_keys(tally, encode_sequences(seqs), n - 1)
@@ -148,9 +156,13 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     Enumerates all q^(n(n-1)/2) matrices with a mixed-radix counter over
     the free entries, computes rank sequences in index ranges of at most
     ``DEFAULT_BATCH`` matrices (the work units of ``run_census``), and
-    returns the per-partition counts.  With several workers the ranges
-    are cut small enough that each worker gets about ``UNITS_PER_WORKER``
-    of them, counting only as many workers as there are usable CPUs.
+    returns the per-partition counts.  In each range the single Jordan
+    blocks, those whose decoded superdiagonal entries are all nonzero,
+    are counted before assembly (``single_block_mask``); only the other
+    matrices are assembled, ranked and tallied.  With several workers the
+    ranges are cut small enough that each worker gets about
+    ``UNITS_PER_WORKER`` of them, counting only as many workers as there
+    are usable CPUs.
     Raises TooLarge when the matrices exceed ``budget``, or over GF(p^k)
     the q^2 entries of each gather table, checked before any table is
     built; and ValueError unless ``workers`` >= 1.

@@ -1,14 +1,16 @@
-"""Golden digests of the census routes: what each census outputs, hashed.
+"""Golden digests of the census routes and of the reducibility verdicts:
+what each outputs, hashed.
 
 Run from the repository root to rewrite ``digests.json`` next to this file:
 
     PYTHONPATH=src python tests/golden/write_digests.py
 
-Each label is one census call.  Its output is written in one canonical
-form, JSON with sorted keys and plain ints (no pickle, no repr of numpy
-scalars), and ``digests.json`` keeps the sha256 of that text together
-with the route, the field (with its modulus over GF(p^k)) and the worker
-count.  ``tests/test_golden.py`` recomputes every label and compares, so
+Each label is one census call, or the verdicts of one reducibility scan.
+Its output is written in one canonical form, JSON with sorted keys and
+plain ints (no pickle, no repr of numpy scalars), and ``digests.json``
+keeps the sha256 of that text together with the route, the field (with
+its modulus over GF(p^k)) and the worker count of a census, or the n of
+a scan.  ``tests/test_golden.py`` recomputes every label and compares, so
 a change that moves any count of any route fails the default suite
 (``LABELS``) or ``pytest -m slow`` (``SLOW_LABELS``, the larger fields).
 Rewrite the file only for a change that is meant to move an output, and
@@ -23,11 +25,12 @@ from pathlib import Path
 
 from kirillov.fields import field_of_order
 from kirillov.g2 import g2_census
-from kirillov.typea import brute_force_census
+from kirillov.typea import brute_force_census, reducibility_scan
 
 PATH = Path(__file__).with_name("digests.json")
 
-# label -> (route, q, n or None, workers); the default suite checks these
+# label -> (route, q, n, workers), with None for what the route does not
+# take; the default suite checks these
 LABELS = {
     **{f"g2 exhaustive GF({q}) {w}w": ("g2-exhaustive", q, None, w)
        for q in (5, 7) for w in (1, 2)},
@@ -38,6 +41,9 @@ LABELS = {
     **{f"typea n={n} GF({q})": ("typea", q, n, 1)
        for n, qs in ((4, (2, 3, 4, 5, 7, 8, 9)), (5, (2, 3, 4)), (6, (2,)))
        for q in qs},
+    # partition, kind, method, witness and factors of each of the 372 R
+    # factors up to n = 13 (about 0.3 s)
+    "typea verdicts n<=13": ("typea-verdicts", None, 13, None),
 }
 
 # the prime powers from 16 to 125
@@ -63,8 +69,15 @@ def _plain(counts: dict) -> list:
 
 
 def output(label: str) -> dict:
-    """The output of the census ``label`` names, in plain ints and lists."""
+    """The output of the census or scan ``label`` names, in plain ints and
+    lists."""
     route, q, n, workers = ALL_LABELS[label]
+    if route == "typea-verdicts":
+        verdicts = reducibility_scan(n).verdicts
+        return {"verdicts": sorted(
+            [list(lam.parts), v.kind, v.method, list(v.witness),
+             [list(f.coeffs) for f in v.factors]]
+            for lam, v in verdicts.items())}
     ctx = field_of_order(q)
     if route == "typea":
         return {"counts": _plain(brute_force_census(n, ctx, workers=workers))}
@@ -83,6 +96,8 @@ def digest(label: str) -> str:
 
 def record(label: str) -> dict:
     route, q, n, workers = ALL_LABELS[label]
+    if q is None:
+        return {"route": route, "n": n, "sha256": digest(label)}
     ctx = field_of_order(q)
     return {"route": route, "n": n, "q": q, "p": ctx.p, "k": ctx.k,
             "modulus": None if ctx.modulus is None else list(ctx.modulus),

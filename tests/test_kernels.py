@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from functools import lru_cache
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from kirillov._kernels import (
     FieldTables,
+    _band_product,
     _generator_powers,
     _mod_p,
     decode_mixed_radix,
@@ -20,6 +22,7 @@ from kirillov._kernels import (
     power_rank_sequences,
     rank_batch,
     run_census,
+    single_block_mask,
 )
 from kirillov.errors import NotAField
 from kirillov.fields import (
@@ -209,10 +212,9 @@ def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
         seqs = power_rank_sequences(np.array(rows, dtype=tables.dtype), tables)
         assert [tuple(int(x) for x in seq) for seq in seqs] == \
             [rank_sequence(FMatrix(ctx, row)) for row in rows]
-        # one rank per power, on the band of each power, zero or not; the
-        # single Jordan blocks (superdiagonal all nonzero) are not ranked
-        live = sum(not all(row[i][i + 1] for i in range(6)) for row in rows)
-        assert shapes == [(live, 7 - i, 7 - i) for i in range(1, 7)]
+        # one rank per power on every matrix passed in, single Jordan
+        # blocks included, on the band of each power, zero or not
+        assert shapes == [(len(rows), 7 - i, 7 - i) for i in range(1, 7)]
         if ctx.k > 1:
             assert products == list(range(2, last_product + 1))
     # the mixed batch: X^3 = 0 on its g2 rows but not on every random one
@@ -407,9 +409,9 @@ def test_distinct_rank_sequences_get_distinct_keys(m):
 
 @pytest.mark.parametrize("q", [7, 9])
 def test_power_ranks_agree_with_exact_elimination(q):
-    # the kernel skips single Jordan blocks (all superdiagonal entries
-    # nonzero); batches mixing them with every sparser shape are compared
-    # with exact per-matrix linear algebra
+    # batches mixing single Jordan blocks (all superdiagonal entries
+    # nonzero) with every sparser shape are compared with exact
+    # per-matrix linear algebra
     ctx = field_of_order(q)
     n = 5
     tables = FieldTables(ctx, n)
@@ -431,9 +433,9 @@ def test_power_ranks_agree_with_exact_elimination(q):
 
 @pytest.mark.parametrize("q", [7, 9])
 def test_power_ranks_with_no_all_or_some_single_jordan_blocks(q):
-    # the ranks of single Jordan blocks (no superdiagonal zero) are
-    # written without elimination, those of the other matrices after it;
-    # batches with none, only and some of the former, down to n = 2
+    # the kernel ranks single Jordan blocks (no superdiagonal zero) like
+    # any other matrix, although the censuses count them before assembly;
+    # batches with none, only and some of them, down to n = 2
     ctx = field_of_order(q)
     rng = random.Random(q)
     for n in (2, 3, 5):
@@ -457,6 +459,44 @@ def test_power_ranks_with_no_all_or_some_single_jordan_blocks(q):
             assert seqs.dtype == tables.dtype
             assert [tuple(int(x) for x in seq) for seq in seqs] == \
                 [rank_sequence(FMatrix(ctx, row)) for row in rows]
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_single_block_mask_finds_the_matrices_of_one_jordan_block(q):
+    # X is assembled from terms coeff * value; a superdiagonal entry is
+    # zero where its value is, where its coefficient is a multiple of p,
+    # or where X has no term; the mask must agree with the exact rank
+    # sequences
+    ctx = field_of_order(q)
+    rng = random.Random(q)
+    size = 300
+    for n in (1, 2, 4, 5):
+        block = tuple(range(n - 1, 0, -1))
+        for trial in range(12):
+            density = (1.0, 0.95, 0.6, 0.0)[trial % 4]
+            terms = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if j == i + 1 and trial == 11:
+                        continue  # no term on this superdiagonal position
+                    coeff = rng.choice((1, 2, -1, ctx.p + 3) if trial != 10
+                                       else (ctx.p, 2 * ctx.p))
+                    if j == i + 2 and trial % 3 == 0:
+                        value = rng.randrange(q)  # one value for all
+                    else:
+                        value = np.array([rng.randrange(1, q)
+                                          if rng.random() < density else 0
+                                          for _ in range(size)])
+                    terms.append((i, j, value, coeff))
+            mats = [[[0] * n for _ in range(n)] for _ in range(size)]
+            for i, j, value, coeff in terms:
+                for m in range(size):
+                    v = int(value if np.isscalar(value) else value[m])
+                    mats[m][i][j] = ctx.scale_int(coeff, v)
+            single = single_block_mask(n, terms, ctx.p, size)
+            assert single.dtype == bool and single.shape == (size,)
+            assert single.tolist() == \
+                [rank_sequence(FMatrix(ctx, m)) == block for m in mats]
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -648,6 +688,31 @@ def test_mod_p_allocates_one_temporary():
         tracemalloc.stop()
     assert np.array_equal(x, expected)
     assert x.nbytes <= peak < 1.5 * x.nbytes
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_band_products_hold_residues_over_prime_fields(p):
+    # every band of X^2 .. X^(n-1) must come out reduced into 0..p-1, not
+    # only congruent to the power: an entry off by a multiple of p would
+    # still rank alike wherever the kernels reduce again, so the bands
+    # are compared with the exact powers, on batches that hold p - 1
+    n = 7
+    tables = FieldTables(make_prime_field(p), n)
+    rng = random.Random(p)
+    rows = [[[p - 1 if j > i else 0 for j in range(n)] for i in range(n)]]
+    rows += [[[p - 1 if j > i and rng.random() < 0.5 else
+               rng.randrange(p) if j > i else 0 for j in range(n)]
+              for i in range(n)] for _ in range(80)]
+    assert sum(row.count(p - 1) for m in rows for row in m) > 800
+    x = np.array(rows, dtype=tables.dtype).transpose(1, 2, 0).copy()
+    exact = np.array(rows, dtype=np.int64)
+    power, want = x, exact
+    for i in range(2, n):
+        power = _band_product(tables, power, x, i)
+        want = want @ exact % p
+        assert power.dtype == tables.dtype
+        assert 0 <= power.min() and power.max() <= p - 1, i
+        assert np.array_equal(power.transpose(2, 0, 1), want[:, :n - i]), i
 
 
 def _competing_rows(rng, q: int, n: int, col: int) -> list:
@@ -942,6 +1007,70 @@ def test_census_reraises_a_predicate_mismatch_from_the_child(two_cpus,
     monkeypatch.setattr(g2mod, "_predicted_batch", wrong_in_a_child)
     with pytest.raises(PredicateMismatch, match=r"=\(0,4,4,4,4,1\)"):
         g2_census(make_prime_field(5), workers=2, exhaustive=False)
+
+
+def _checking_no_single_blocks(power_ranks, sizes: list):
+    """``power_ranks`` behind a check that no matrix it gets is a single
+    Jordan block (all superdiagonal entries nonzero); the batch sizes of
+    the calls in this process go to ``sizes``.  In a forked child the
+    check raises, and the census re-raises it in the caller."""
+
+    def checked(mats, t):
+        n = mats.shape[1]
+        single = np.ones(len(mats), dtype=bool)
+        for i in range(n - 1):
+            single &= mats[:, i, i + 1] != 0
+        if single.any():
+            raise AssertionError(f"{int(single.sum())} single Jordan blocks "
+                                 f"of size {n} reached the rank kernel")
+        sizes.append(len(mats))
+        return power_ranks(mats, t)
+
+    return checked
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_censuses_hand_the_rank_kernel_no_single_jordan_block(two_cpus,
+                                                              monkeypatch,
+                                                              workers):
+    # the censuses count the single Jordan blocks from the decoded
+    # superdiagonal and rank only the other matrices: q^C(n,2) -
+    # q^C(n-1,2) (q-1)^(n-1) of type A, and the tuples outside case 1
+    # (a f != 0) of g2, in one call per decoded batch
+    import kirillov.g2 as g2
+    import kirillov.typea as typea
+
+    sizes = []
+    for module in (g2, typea):
+        monkeypatch.setattr(module, "power_rank_sequences",
+                            _checking_no_single_blocks(
+                                module.power_rank_sequences, sizes))
+    decodes = []
+
+    def counted(start, stop, radix, width, dtype):
+        decodes.append(stop - start)
+        return decode_mixed_radix(start, stop, radix, width, dtype)
+
+    for module in (g2, typea):
+        monkeypatch.setattr(module, "decode_mixed_radix", counted)
+    for n, q in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (3, 4), (4, 4)):
+        sizes.clear()
+        decodes.clear()
+        typea.brute_force_census(n, field_of_order(q), workers=workers)
+        assert len(sizes) == len(decodes)
+        if workers == 1:
+            assert sum(sizes) == q**comb(n, 2) - \
+                q**comb(n - 1, 2) * (q - 1) ** (n - 1)
+    q = 5
+    for exhaustive, others in ((True, q**6 - q**4 * (q - 1) ** 2),
+                               (False, 3 * q**4)):
+        sizes.clear()
+        decodes.clear()
+        g2.g2_census(field_of_order(q), workers=workers,
+                     exhaustive=exhaustive)
+        assert len(sizes) == len(decodes)
+        if workers == 1:
+            assert sum(sizes) == others
 
 
 def test_census_names_the_exit_code_of_a_child_that_dies(two_cpus):

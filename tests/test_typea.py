@@ -5,7 +5,15 @@ import pytest
 
 from kirillov.errors import TooLarge
 from kirillov.fields import field_of_order, make_prime_field
-from kirillov.intpoly import IntPoly, Q, Q_MINUS_1, split_qfactors
+from kirillov.intpoly import (
+    CERTIFICATE_PRIMES,
+    IntPoly,
+    Q,
+    Q_MINUS_1,
+    _first_primes_over_3,
+    ddf_degrees,
+    split_qfactors,
+)
 from kirillov.partitions import Partition, partitions_of
 from kirillov.typea import (
     ADJOINT_ORBIT_COUNT_N4,
@@ -224,6 +232,34 @@ def test_scan_to_n12_takes_the_pinned_certificate_routes():
     assert methods == {"mod-p": 116, "degree-set": 111, "unit": 23,
                        "degree-1": 11, "kronecker": 9,
                        "kronecker-exhausted": 1}
+
+
+def test_degree_set_witnesses_are_the_primes_examined():
+    # a degree-set verdict names the certificate primes up to the first at
+    # which no factor degree in 1..deg R // 2 is left: the factor-degree
+    # sets mod its primes intersect to nothing, and those mod all but its
+    # last prime do not
+    def degrees_mod(r, p):
+        sums = {0}
+        for d in ddf_degrees(r, p):
+            sums |= {s + d for s in sums}
+        return sums
+
+    report = reducibility_scan(12)
+    lengths = collections.Counter()
+    for lam, verdict in report.verdicts.items():
+        if verdict.method != "degree-set":
+            continue
+        r = split_qfactors(P(lam)).r
+        primes = _first_primes_over_3(CERTIFICATE_PRIMES, abs(r.leading))
+        assert verdict.witness == tuple(primes[:len(verdict.witness)])
+        candidate = set(range(1, r.degree // 2 + 1))
+        for p in verdict.witness[:-1]:
+            candidate &= degrees_mod(r, p)
+        assert candidate, lam
+        assert not candidate & degrees_mod(r, verdict.witness[-1]), lam
+        lengths[len(verdict.witness)] += 1
+    assert sum(lengths.values()) == 111 and min(lengths) >= 2
 
 
 def test_r_factors_of_the_conjugate_pair_432_and_3321():
