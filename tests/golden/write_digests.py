@@ -41,6 +41,11 @@ LABELS = {
     **{f"typea n={n} GF({q})": ("typea", q, n, 1)
        for n, qs in ((4, (2, 3, 4, 5, 7, 8, 9)), (5, (2, 3, 4)), (6, (2,)))
        for q in qs},
+    # several workers, and the sizes with no matrix left to rank (n = 1)
+    # or none but the zero matrix (n = 2)
+    "typea n=4 GF(9) 2w": ("typea", 9, 4, 2),
+    "typea n=5 GF(3) 3w": ("typea", 3, 5, 3),
+    **{f"typea n={n} GF(5)": ("typea", 5, n, 1) for n in (1, 2)},
     # partition, kind, method, witness and factors of each of the 372 R
     # factors up to n = 13 (about 0.3 s)
     "typea verdicts n<=13": ("typea-verdicts", None, 13, None),
@@ -53,12 +58,15 @@ _N3_FIELDS = (16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59,
 
 # labels only ``pytest -m slow`` checks.  Weighted g2 over GF(49) alone
 # takes about 16 s.  The n = 3 labels over GF(107), GF(109) and GF(113)
-# are the only ones whose prime-field kernels run on int32.
+# are the only ones whose prime-field kernels run on int32.  Type A with
+# n = 6 over GF(3) holds 3^15 matrices, 3^10 of them behind each setting
+# of the superdiagonal, more than ``DEFAULT_BATCH``.
 SLOW_LABELS = {
     **{f"g2 weighted GF({q})": ("g2-weighted", q, None, 1)
        for q in (23, 25, 49)},
     **{f"typea n={n} GF({q})": ("typea", q, n, 1)
-       for n, qs in ((4, (16,)), (2, (169,)), (3, _N3_FIELDS)) for q in qs},
+       for n, qs in ((4, (16,)), (2, (169,)), (3, _N3_FIELDS), (6, (3,)))
+       for q in qs},
 }
 
 ALL_LABELS = {**LABELS, **SLOW_LABELS}
