@@ -19,24 +19,20 @@ power is supported on the band column - row >= i; products and ranks
 are restricted to that band to save work.
 
 Most matrices a census enumerates are single Jordan blocks, and the
-censuses count those before they assemble a batch.  The corner entry of
-X^(n-1) is the product of the superdiagonal entries, so X is a single
-block, with rank sequence (n-1, ..., 1), exactly when none of them is
-zero; ``single_block_mask`` reads that off the decoded coordinates.
-They are q^C(n-1,2) (q-1)^(n-1) of the q^C(n,2) strictly upper n x n
-matrices (548,864 of the 793,585 of the n = 4 census over GF(8) and
-GF(9), 69%) and the q^4 (q-1)^2 g2 tuples with a f != 0 (86,436 of
-117,649 over GF(7), 73%).  The censuses add their sequence once per
-batch and assemble, rank and tally only the other matrices, so
-``power_rank_sequences`` ranks every matrix it gets.  When it told the
-single blocks apart itself, inside the assembled batch, it took the
-rest out by a ``take``, scattered their ranks back power by power, and
-every single block's sequence was packed and tallied; on a traced pass
-of the n = 4 census over GF(8) and GF(9), moving the test ahead of
-assembly took the self time of ``power_rank_sequences`` from 10.6 to
-4.4 ms and ``encode_sequences`` from 1.3 to 0.8 ms, while the census
-chunk's own time (the mask, the compress and the tally) rose from 2.9 to
-4.1 ms (2-vCPU Xeon, numpy 2.4).
+censuses count those without ranking them.  The corner entry of X^(n-1)
+is the product of the superdiagonal entries, so X is a single block,
+with rank sequence (n-1, ..., 1), exactly when none of them is zero;
+``single_block_mask`` reads that off the decoded coordinates.  They are
+q^C(n-1,2) (q-1)^(n-1) of the q^C(n,2) strictly upper n x n matrices and
+the q^4 (q-1)^2 g2 tuples with a f != 0 (86,436 of 117,649 over GF(7),
+73%).  Type A decodes the settings of the superdiagonal alone and counts
+each single one q^C(n-1,2) times, so it never decodes a single block;
+g2 tells them apart in each decoded batch, which it checks against its
+predicate, and assembles only the rest.  So ``power_rank_sequences``
+ranks every matrix it gets.  When it told the single blocks apart
+itself, inside the assembled batch, it took the rest out by a ``take``,
+scattered their ranks back power by power, and every single block's
+sequence was packed and tallied (``BENCH_single-blocks.json``).
 
 The kernels take batches as (B, n, n) arrays but compute batch-last, on
 (n, n, B) arrays.  The matrices are small (n <= 7): with the batch first,
@@ -630,9 +626,11 @@ def _receive(proc, conn) -> dict:
 def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     """Sum the tallies ``chunk(*head, share)`` for up to ``workers`` shares.
 
-    The units are dealt round-robin, because the costly ones (those whose
-    matrices are not single Jordan blocks) cluster at the start of both
-    families' unit lists.  There are at most as many shares as units and
+    The units are dealt round-robin: g2's costly ones (those whose
+    matrices are not single Jordan blocks) fill the start of its list and
+    lead the block of every a, so neighbours go to different shares; type
+    A's ranges are all ranked, and all but the last are of one size.
+    There are at most as many shares as units and
     usable CPUs.  The caller computes share 0 while one forked child per
     other share computes its own and sends the tally back over a pipe, so
     ``chunk`` must be a module-level function.  Every result is received

@@ -119,30 +119,30 @@ def conservation_sum(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-# Ranges per worker in a multi-worker census.  The matrices with entry
-# (1,2) = 0, none of which is a single Jordan block, fill the first
-# 1/q of the index; with n = 4 over GF(7) and 2 workers, 8 ranges per
-# worker brought the share times to within 5% of each other, where the
-# four 32,768-matrix ranges left them 1.32 apart.
+# Ranges per worker in a multi-worker census.  Every range is ranked and
+# costs about its size, but ranges are dealt whole, so two shares can
+# differ by one range; at this many per worker that is at most an eighth
+# of a share (share times in BENCH_prefix-ranges.json).
 UNITS_PER_WORKER = 8
 
 
-def _census_chunk(ctx: FieldCtx, n: int, ranges: list) -> dict:
-    tables = FieldTables(ctx, n)
-    rows, cols = np.triu_indices(n, 1)
-    single_key = (tuple(range(n - 1, 0, -1)),)
+def _census_chunk(tables: FieldTables, n: int, prefixes: np.ndarray,
+                  ranges: list) -> dict:
+    inner = tables.q ** comb(n - 1, 2)
+    diag = np.arange(n - 1)
+    rows, cols = np.triu_indices(n, 2)
     tally: dict[tuple, int] = {}
     for lo, hi in ranges:
-        digits = decode_mixed_radix(lo, hi, ctx.q, len(rows),
+        # matrix lo + i has superdiagonal prefixes[:, (lo + i) // inner];
+        # its other entries are the trailing digits of lo + i
+        first, last = lo // inner, (hi - 1) // inner
+        ends = np.minimum(np.arange(first + 1, last + 2) * inner, hi)
+        digits = decode_mixed_radix(lo, hi, tables.q, comb(n, 2),
                                     dtype=tables.dtype).T
-        terms = [(i, j, x, 1) for i, j, x in zip(rows, cols, digits)]
-        single = single_block_mask(n, terms, ctx.p, hi - lo)
-        singles = int(np.count_nonzero(single))
-        if singles:
-            tally[single_key] = tally.get(single_key, 0) + singles
-            digits = digits.compress(~single, axis=1)
-        mats = np.zeros((n, n, digits.shape[1]), dtype=tables.dtype)
-        mats[rows, cols] = digits
+        mats = np.zeros((n, n, hi - lo), dtype=tables.dtype)
+        mats[diag, diag + 1] = prefixes[:, first:last + 1].repeat(
+            np.diff(ends, prepend=lo), axis=1)
+        mats[rows, cols] = digits[n - 1:]
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
         tally_keys(tally, encode_sequences(seqs), n - 1)
@@ -153,33 +153,48 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
                        budget: int = DEFAULT_BUDGET) -> dict[Partition, int]:
     """Tally Jordan types of all strictly upper triangular n x n matrices.
 
-    Enumerates all q^(n(n-1)/2) matrices with a mixed-radix counter over
-    the free entries, computes rank sequences in index ranges of at most
-    ``DEFAULT_BATCH`` matrices (the work units of ``run_census``), and
-    returns the per-partition counts.  In each range the single Jordan
-    blocks, those whose decoded superdiagonal entries are all nonzero,
-    are counted before assembly (``single_block_mask``); only the other
-    matrices are assembled, ranked and tallied.  With several workers the
-    ranges are cut small enough that each worker gets about
+    The q^(n-1) settings of the superdiagonal (the prefixes) are decoded
+    once.  X is a single Jordan block exactly when its superdiagonal
+    entries are all nonzero (``single_block_mask``), so each such prefix
+    adds q^C(n-1,2) matrices, one for every setting of the other entries,
+    with the sequence (n-1, ..., 1).  Every matrix of the other prefixes
+    is ranked: their matrices, prefix by prefix with the entries above
+    the superdiagonal as a mixed-radix counter, are cut into index ranges
+    of at most ``DEFAULT_BATCH`` (the work units of ``run_census``), and
+    each range is assembled and ranked in one batch.  With several
+    workers the ranges are cut small enough that each worker gets about
     ``UNITS_PER_WORKER`` of them, counting only as many workers as there
-    are usable CPUs.
+    are usable CPUs.  Returns the per-partition counts.
     Raises TooLarge when the matrices exceed ``budget``, or over GF(p^k)
     the q^2 entries of each gather table, checked before any table is
-    built; and ValueError unless ``workers`` >= 1.
+    built; OverflowError when the field's values overflow int64
+    (``FieldTables``), checked before anything is counted; and ValueError
+    unless ``workers`` >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    space = ctx.q ** (n * (n - 1) // 2)
-    check_budget(space, budget, "matrices")
+    check_budget(ctx.q ** comb(n, 2), budget, "matrices")
     if ctx.k > 1:
         check_budget(ctx.q**2, budget, f"GF({ctx.q}) table entries")
+    tables = FieldTables(ctx, n)
+    prefixes = decode_mixed_radix(0, ctx.q ** (n - 1), ctx.q, n - 1,
+                                  dtype=tables.dtype).T
+    single = single_block_mask(n, [(i, i + 1, x, 1)
+                                   for i, x in enumerate(prefixes)],
+                               ctx.p, prefixes.shape[1])
+    inner = ctx.q ** comb(n - 1, 2)
+    singles = {(tuple(range(n - 1, 0, -1)),):
+               int(np.count_nonzero(single)) * inner}
+    prefixes = prefixes.compress(~single, axis=1)
+    space = prefixes.shape[1] * inner
     step = DEFAULT_BATCH
     parts = usable_workers(workers)
     if parts > 1:
-        step = min(step, -(-space // (parts * UNITS_PER_WORKER)))
+        step = min(step, max(1, -(-space // (parts * UNITS_PER_WORKER))))
     ranges = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-    tally = run_census(_census_chunk, (ctx, n), ranges, workers)
-    return merge_tallies([tally], lambda key: jordan_type_from_ranks(key[0], n))
+    tally = run_census(_census_chunk, (tables, n, prefixes), ranges, workers)
+    return merge_tallies([singles, tally],
+                         lambda key: jordan_type_from_ranks(key[0], n))
 
 
 # ---------------------------------------------------------------------------

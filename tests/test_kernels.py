@@ -892,13 +892,22 @@ def _tilings(calls: list) -> int:
     return tilings
 
 
+def _non_single_count(n: int, q: int) -> int:
+    """The strictly upper n x n matrices over GF(q) with a zero on the
+    superdiagonal: all but the q^C(n-1,2) (q-1)^(n-1) single Jordan
+    blocks."""
+    return q**comb(n, 2) - q**comb(n - 1, 2) * (q - 1) ** (n - 1)
+
+
 def test_censuses_decode_their_spaces_exactly(monkeypatch):
-    # both census callers decode ranges inside radix**width: type A tiles
-    # its space once per census; g2 decodes each unit's range of the q^5
-    # tuples (f, b, c, d, e) once, and at each a the ranges are disjoint
-    # and together cover q^6 tuples (exhaustive) or 4 q^4 (weighted)
-    # exactly once.  Every unit runs in this process, with the ranges a
-    # two-worker census cuts too
+    # both census callers decode ranges inside radix**width.  Type A
+    # decodes the q^(n-1) settings of the superdiagonal once, then each
+    # unit's range of the matrices it ranks, as an index below q^C(n,2);
+    # the ranges tile those matrices once.  g2 decodes each unit's range
+    # of the q^5 tuples (f, b, c, d, e) once, and at each a the ranges are
+    # disjoint and together cover q^6 tuples (exhaustive) or 4 q^4
+    # (weighted) exactly once.  Every unit runs in this process, with the
+    # ranges a two-worker census cuts too
     import kirillov._kernels as kernels
     import kirillov.g2 as g2
     import kirillov.typea as typea
@@ -917,10 +926,15 @@ def test_censuses_decode_their_spaces_exactly(monkeypatch):
     for module in (g2, typea):
         monkeypatch.setattr(module, "decode_mixed_radix", recording)
         monkeypatch.setattr(module, "run_census", in_process)
-    for n, q, workers, count in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 17)):
+    for n, q, workers, count in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 5)):
         calls.clear()
+        units.clear()
         typea.brute_force_census(n, field_of_order(q), workers=workers)
-        assert _tilings(calls) == 1 and len(calls) == count
+        assert _tilings(calls[:1]) == 1 and calls[0][2] == q ** (n - 1)
+        assert calls[1:] == [(lo, hi, q**comb(n, 2)) for lo, hi in units]
+        space = _non_single_count(n, q)
+        assert _tilings([(lo, hi, space) for lo, hi in units]) == 1
+        assert len(units) == count
     q = 5
     for exhaustive, tuples in ((True, q**6), (False, 4 * q**4)):
         calls.clear()
@@ -934,6 +948,60 @@ def test_censuses_decode_their_spaces_exactly(monkeypatch):
             assert ends == sorted(ends) and all(lo < hi for lo, hi in ranges)
             covered += sum(hi - lo for lo, hi in ranges)
         assert covered == tuples
+
+
+def _upper_keys(mats: np.ndarray, q: int) -> np.ndarray:
+    """Each matrix of a (B, n, n) batch as the integer whose radix-q
+    digits are its entries above the diagonal, row by row."""
+    rows, cols = np.triu_indices(mats.shape[1], 1)
+    weights = q ** np.arange(len(rows) - 1, -1, -1, dtype=np.int64)
+    return mats[:, rows, cols].astype(np.int64) @ weights
+
+
+def _non_single_keys(n: int, q: int) -> np.ndarray:
+    """The ``_upper_keys`` of every strictly upper n x n matrix over GF(q)
+    with a zero on the superdiagonal, in increasing order."""
+    rows, cols = np.triu_indices(n, 1)
+    keys = np.arange(q ** len(rows), dtype=np.int64)
+    single = np.ones(keys.size, dtype=bool)
+    for pos in np.flatnonzero(cols == rows + 1):
+        single &= keys // q ** (len(rows) - 1 - pos) % q != 0
+    return keys[~single]
+
+
+@pytest.mark.parametrize("batch", [None, 100])
+def test_type_a_census_ranks_each_non_single_matrix_once(monkeypatch, batch):
+    # the matrices handed to the rank kernel are, as a multiset, exactly
+    # the strictly upper ones with a zero on the superdiagonal.  Every
+    # range runs in this process, cut as for 1 to 3 workers; ranges of at
+    # most 100 matrices end inside the run of one superdiagonal prefix
+    # (q^C(n-1,2) matrices, 729 for n = 5 over GF(3)) or between runs
+    import kirillov._kernels as kernels
+    import kirillov.typea as typea
+
+    keys = []
+    power_ranks = typea.power_rank_sequences
+
+    def recording(mats, t):
+        keys.append(_upper_keys(mats, t.q))
+        return power_ranks(mats, t)
+
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(typea, "power_rank_sequences", recording)
+    monkeypatch.setattr(typea, "run_census",
+                        lambda chunk, head, work, workers: chunk(*head, work))
+    if batch is not None:
+        monkeypatch.setattr(typea, "DEFAULT_BATCH", batch)
+    for q in (2, 3, 4):
+        for n in range(1, 6 if batch is None or q < 4 else 5):
+            expected = _non_single_keys(n, q)
+            for workers in (1, 2, 3):
+                keys.clear()
+                typea.brute_force_census(n, field_of_order(q),
+                                         workers=workers)
+                ranked = np.sort(np.concatenate([np.zeros(0, np.int64)]
+                                                + keys))
+                assert np.array_equal(ranked, expected), (n, q, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1104,9 @@ def test_censuses_hand_the_rank_kernel_no_single_jordan_block(two_cpus,
     # the censuses count the single Jordan blocks from the decoded
     # superdiagonal and rank only the other matrices: q^C(n,2) -
     # q^C(n-1,2) (q-1)^(n-1) of type A, and the tuples outside case 1
-    # (a f != 0) of g2, in one call per decoded batch
+    # (a f != 0) of g2.  Type A decodes its q^(n-1) superdiagonal
+    # prefixes once and then ranks each decoded range whole, in one call;
+    # g2 ranks each decoded batch in one call
     import kirillov.g2 as g2
     import kirillov.typea as typea
 
@@ -1057,10 +1127,9 @@ def test_censuses_hand_the_rank_kernel_no_single_jordan_block(two_cpus,
         sizes.clear()
         decodes.clear()
         typea.brute_force_census(n, field_of_order(q), workers=workers)
-        assert len(sizes) == len(decodes)
+        assert decodes[0] == q ** (n - 1) and sizes == decodes[1:]
         if workers == 1:
-            assert sum(sizes) == q**comb(n, 2) - \
-                q**comb(n - 1, 2) * (q - 1) ** (n - 1)
+            assert sum(sizes) == _non_single_count(n, q)
     q = 5
     for exhaustive, others in ((True, q**6 - q**4 * (q - 1) ** 2),
                                (False, 3 * q**4)):

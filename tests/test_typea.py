@@ -117,15 +117,50 @@ def test_census_worker_split_deterministic(monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     ctx = field_of_order(3)
     single = brute_force_census(5, ctx, workers=1)
-    # 3^10 matrices in 16 and 24 index ranges, dealt round-robin
+    # the 47,385 of the 3^10 matrices that are ranked, in 16 and 24 index
+    # ranges, dealt round-robin
     for workers in (2, 3):
         assert brute_force_census(5, ctx, workers=workers) == single
-    # more workers than matrices: GF(2)'s two 2 x 2 matrices, one range each
+    # more workers than ranges: of GF(2)'s two 2 x 2 matrices only the
+    # zero matrix is ranked, in one range
     assert brute_force_census(2, make_prime_field(2), workers=3) == \
         {Partition((2,)): 1, Partition((1, 1)): 1}
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_census_of_sizes_with_at_most_one_matrix_to_rank(monkeypatch,
+                                                         workers):
+    import kirillov._kernels as kernels
+
+    # n = 1 leaves no matrix to rank and n = 2 only the zero matrix, so
+    # the census cuts no range or one, however many workers it is given
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+    with deadline(60):
+        for q in (2, 4, 5):
+            ctx = field_of_order(q)
+            assert brute_force_census(1, ctx, workers=workers) == \
+                {Partition((1,)): 1}
+            assert brute_force_census(2, ctx, workers=workers) == \
+                {Partition((2,)): q - 1, Partition((1, 1)): 1}
+
+
+def test_census_refuses_a_field_too_large_before_counting(monkeypatch):
+    import kirillov.typea as typea
+
+    # n = 1 has nothing to rank, yet (p-1)^2 overflows int64 for this p
+    # and the field tables refuse it before any prefix is decoded or any
+    # range is counted
+    def counted(*args):
+        raise AssertionError("counted before the tables were built")
+
+    monkeypatch.setattr(typea, "decode_mixed_radix", counted)
+    monkeypatch.setattr(typea, "run_census", counted)
+    with pytest.raises(OverflowError, match="int64"):
+        brute_force_census(1, make_prime_field(3037000507))
+
+
 def test_census_cuts_several_ranges_per_worker(monkeypatch):
+    import kirillov._kernels as kernels
     import kirillov.typea as typea
 
     units = []
@@ -135,16 +170,18 @@ def test_census_cuts_several_ranges_per_worker(monkeypatch):
         units.append(share)
         return run_census(chunk, head, share, workers)
 
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(typea, "run_census", capture)
     ctx = make_prime_field(7)
-    space, batch = 7**6, typea.DEFAULT_BATCH
+    # the ranked matrices: all 7^6 but the 7^3 6^3 single Jordan blocks
+    space, batch = 7**6 - 7**3 * 6**3, typea.DEFAULT_BATCH
     counts = brute_force_census(4, ctx, workers=1)
     assert brute_force_census(4, ctx, workers=2) == counts
     one, two = units
-    # one worker: batch-sized ranges, as the census has always cut them
+    # one worker: batch-sized ranges
     assert one == [(lo, min(lo + batch, space))
                    for lo in range(0, space, batch)]
-    assert len(one) == 4
+    assert len(one) == 2
     # two workers: enough ranges that each gets UNITS_PER_WORKER of them
     assert len(two) >= 2 * typea.UNITS_PER_WORKER
     assert max(hi - lo for lo, hi in two) <= batch
