@@ -1,16 +1,19 @@
-"""Golden digests of the census routes and of the reducibility verdicts:
-what each outputs, hashed.
+"""Golden digests of the census routes, of the reducibility verdicts and
+of the field tables the census kernels gather from: what each outputs,
+hashed.
 
 Run from the repository root to rewrite ``digests.json`` next to this file:
 
     PYTHONPATH=src python tests/golden/write_digests.py
 
-Each label is one census call, or the verdicts of one reducibility scan.
-Its output is written in one canonical form, JSON with sorted keys and
-plain ints (no pickle, no repr of numpy scalars), and ``digests.json``
-keeps the sha256 of that text together with the route, the field (with
-its modulus over GF(p^k)) and the worker count of a census, or the n of
-a scan.  ``tests/test_golden.py`` recomputes every label and compares, so
+Each label is one census call, the verdicts of one reducibility scan, or
+one ``FieldTables(ctx, n)``: its element type and its ``inv_t``,
+``add_t``, ``sub_t`` and ``mul_t`` tables, or the message of the
+OverflowError it raises.  Its output is written in one canonical form,
+JSON with sorted keys and plain ints (no pickle, no repr of numpy
+scalars), and ``digests.json`` keeps the sha256 of that text together
+with the route, the field (with its modulus over GF(p^k)) and the worker
+count of a census, or the n of a scan or of the tables.  ``tests/test_golden.py`` recomputes every label and compares, so
 a change that moves any count of any route fails the default suite
 (``LABELS``) or ``pytest -m slow`` (``SLOW_LABELS``, the larger fields).
 Rewrite the file only for a change that is meant to move an output, and
@@ -23,8 +26,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+from kirillov._kernels import FieldTables
 from kirillov.fields import field_of_order
-from kirillov.g2 import g2_census
+from kirillov.g2 import DIM, g2_census
 from kirillov.typea import brute_force_census, reducibility_scan
 
 PATH = Path(__file__).with_name("digests.json")
@@ -38,11 +44,14 @@ LABELS = {
     "g2 exhaustive GF(11) 1w": ("g2-exhaustive", 11, None, 1),
     **{f"g2 weighted GF({q})": ("g2-weighted", q, None, 1)
        for q in (5, 7, 13)},
+    # the weighted route with two workers
+    "g2 weighted GF(13) 2w": ("g2-weighted", 13, None, 2),
     **{f"typea n={n} GF({q})": ("typea", q, n, 1)
        for n, qs in ((4, (2, 3, 4, 5, 7, 8, 9)), (5, (2, 3, 4)), (6, (2,)))
        for q in qs},
     # several workers, and the sizes with no matrix left to rank (n = 1)
     # or none but the zero matrix (n = 2)
+    "typea n=4 GF(7) 2w": ("typea", 7, 4, 2),
     "typea n=4 GF(9) 2w": ("typea", 9, 4, 2),
     "typea n=5 GF(3) 3w": ("typea", 3, 5, 3),
     **{f"typea n={n} GF(5)": ("typea", 5, n, 1) for n in (1, 2)},
@@ -69,6 +78,24 @@ SLOW_LABELS = {
        for q in qs},
 }
 
+
+def _tables_labels(census: dict) -> dict:
+    """One label for each ``FieldTables(ctx, n)`` a census label builds:
+    n is the matrix size, DIM for g2."""
+    labels = {}
+    for route, q, n, _ in census.values():
+        if route != "typea-verdicts":
+            n = DIM if n is None else n
+            labels[f"tables GF({q}) n={n}"] = ("tables", q, n, None)
+    return labels
+
+
+# the tables of every field a census label uses, all of them together in
+# well under a second, and of a prime field whose (p-1)^2 overflows int64,
+# which the tables refuse
+LABELS.update(_tables_labels({**LABELS, **SLOW_LABELS}))
+LABELS["tables GF(3037000507) n=1"] = ("tables", 3037000507, 1, None)
+
 ALL_LABELS = {**LABELS, **SLOW_LABELS}
 
 
@@ -77,8 +104,8 @@ def _plain(counts: dict) -> list:
 
 
 def output(label: str) -> dict:
-    """The output of the census or scan ``label`` names, in plain ints and
-    lists."""
+    """The output of the census, scan or tables ``label`` names, in plain
+    ints and lists."""
     route, q, n, workers = ALL_LABELS[label]
     if route == "typea-verdicts":
         verdicts = reducibility_scan(n).verdicts
@@ -87,6 +114,17 @@ def output(label: str) -> dict:
              [list(f.coeffs) for f in v.factors]]
             for lam, v in verdicts.items())}
     ctx = field_of_order(q)
+    if route == "tables":
+        try:
+            tables = FieldTables(ctx, n)
+        except OverflowError as exc:
+            return {"overflow": str(exc)}
+        return {"dtype": np.dtype(tables.dtype).name,
+                **{name: None if table is None else table.tolist()
+                   for name, table in (("inv_t", tables.inv_t),
+                                       ("add_t", tables.add_t),
+                                       ("sub_t", tables.sub_t),
+                                       ("mul_t", tables.mul_t))}}
     if route == "typea":
         return {"counts": _plain(brute_force_census(n, ctx, workers=workers))}
     report = g2_census(ctx, workers=workers,
