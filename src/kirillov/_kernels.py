@@ -41,8 +41,9 @@ over a row of 2 to 7 entries; batch-last, that loop runs over the B
 matrices.  On 6,881 matrices of 5 x 5 residues mod 7 the update
 ``a -= f * pivrow`` of one elimination step took 0.53 ms batch-first and
 0.07 ms batch-last (2-vCPU Xeon, numpy 2.4).  The censuses therefore
-assemble (n, n, B) arrays and pass their (B, n, n) transposed views,
-which the kernels turn back without a copy.
+assemble (n, n, B) arrays (``assemble``, from the terms that
+``single_block_mask`` reads too) and pass their (B, n, n) transposed
+views, which the kernels turn back without a copy.
 
 Elimination updates rows only in the columns where an update can change
 an entry.  The last column has no entries to its right, and a column
@@ -386,6 +387,25 @@ def single_block_mask(n: int, terms, p: int, size: int) -> np.ndarray:
     return single
 
 
+def assemble(terms, n: int, size: int, t: "FieldTables") -> np.ndarray:
+    """The batch-last (n, n, size) batch, in ``t.dtype``, of the matrices
+    whose terms ``terms`` lists as ``single_block_mask`` reads them.
+
+    Entry (i, j) is ``values`` itself where ``coeff`` is 1 mod p and
+    ``t.scale_int(coeff, values)`` otherwise; a position with no term is
+    zero.  Each entry is written, not added into, so this is the one place
+    that checks, for every family and batch, that no two terms share a
+    position: raises AssertionError if two do.
+    """
+    positions = [(i, j) for i, j, _, _ in terms]
+    if len(set(positions)) != len(positions):
+        raise AssertionError(f"two terms of X share a position: {positions}")
+    mats = np.zeros((n, n, size), dtype=t.dtype)
+    for i, j, values, coeff in terms:
+        mats[i, j] = values if coeff % t.p == 1 else t.scale_int(coeff, values)
+    return mats
+
+
 def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     """Rank sequences (r_1 .. r_{n-1}) for strictly upper triangular input.
 
@@ -582,6 +602,13 @@ def merge_tallies(tallies, key=None) -> dict:
     return out
 
 
+def cut_ranges(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
+    """lo..hi-1 cut into ``count`` consecutive ranges whose sizes differ by
+    at most one (none when ``count`` is 0)."""
+    return [(lo + (hi - lo) * i // count, lo + (hi - lo) * (i + 1) // count)
+            for i in range(count)]
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on (all of them where the platform
     cannot say)."""
@@ -629,13 +656,14 @@ def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     The units are dealt round-robin: g2's costly ones (those whose
     matrices are not single Jordan blocks) fill the start of its list and
     lead the block of every a, so neighbours go to different shares; type
-    A's ranges are all ranked, and all but the last are of one size.
-    There are at most as many shares as units and
-    usable CPUs.  The caller computes share 0 while one forked child per
-    other share computes its own and sends the tally back over a pipe, so
-    ``chunk`` must be a module-level function.  Every result is received
-    before any child is joined: a large tally would fill the pipe and
-    block its sender.  A child's exception is re-raised as it is, a child
+    A's ranges are all ranked, differ in size by at most one
+    (``cut_ranges``) and come in a multiple of the usable workers, so
+    every share gets as many of them.  There are at most as many shares
+    as units and usable CPUs.  The caller computes share 0 while one
+    forked child per other share computes its own and sends the tally
+    back over a pipe, so ``chunk`` must be a module-level function.
+    Every result is received before any child is joined: a large tally
+    would fill the pipe and block its sender.  A child's exception is re-raised as it is, a child
     that dies without sending raises RuntimeError, and on every path the
     children still running are terminated and all are joined.  Tallies
     add up in share order, so the result is the same for any number of

@@ -29,6 +29,8 @@ from ._kernels import (
     DEFAULT_BATCH,
     DEFAULT_BUDGET,
     FieldTables,
+    assemble,
+    cut_ranges,
     decode_mixed_radix,
     encode_sequences,
     merge_tallies,
@@ -147,19 +149,15 @@ def entry_table() -> tuple[tuple[int, int, int, int], ...]:
     from ``build_chevalley()``; ``verify_displayed_powers`` checks the X
     it assembles against the transcribed template.
 
-    No two terms share a position (raises AssertionError otherwise), so
-    the census writes each entry of X once instead of adding into it.  The
-    grading that ``torus_weights`` checks implies this: an entry (i, j)
-    of E(m, n) has w_i - w_j = (m, n), so one position lies on one root.
+    No two terms share a position, so the census writes each entry of X
+    once instead of adding into it; ``_kernels.assemble`` checks that on
+    every batch.  The grading that ``torus_weights`` checks implies it: an
+    entry (i, j) of E(m, n) has w_i - w_j = (m, n), so one position lies
+    on one root.
     """
-    basis = build_chevalley()
-    table = tuple((i, j, param, basis[root][i][j])
-                  for param, root in enumerate(PARAM_ROOTS)
-                  for i in range(DIM) for j in range(DIM) if basis[root][i][j])
-    positions = [(i, j) for i, j, _, _ in table]
-    if len(set(positions)) != len(positions):
-        raise AssertionError(f"two terms of X share a position: {positions}")
-    return table
+    return tuple((i, j, param, v) for param, root in enumerate(PARAM_ROOTS)
+                 for i, row in enumerate(build_chevalley()[root])
+                 for j, v in enumerate(row) if v)
 
 
 def x_of(params: G2Params, ctx: FieldCtx) -> FMatrix:
@@ -410,15 +408,10 @@ def _case_of(a: int, f: int) -> int:
 
 
 # The census cuts each case block into the fewest batches of at most this
-# many tuples, of sizes differing by at most one.  Over GF(7) (2,401 tuples
-# a slice), batches of 1, 2, 3 and 6 slices took 31.7, 29.6, 28.5 and 26.9
-# ms per census and peaked at 32.3, 33.2, 33.8 and 36.0 MiB (best of 60
-# runs, 2-vCPU Xeon, numpy 2.4): three slices keep most of the gain for
-# under half the memory of six.  Past GF(7) it cuts inside slices, which
-# against batches of one slice cut at 32,768 tuples took the exhaustive
-# census over GF(11) from 0.169 to 0.151 s and the weighted one over GF(25)
-# from 0.70 to 0.52 s (in-process medians), and a process that runs the
-# censuses at q >= 11 from 45 to 34 MiB of peak memory.
+# many tuples, of sizes differing by at most one (``cut_ranges``): three
+# slices over GF(7) keep most of the speed of larger batches for under
+# half their memory, and past GF(7) the batches cut inside slices
+# (measured in BENCH_g2-batches.json and BENCH_g2-ranges.json).
 _SHARED_BATCH = DEFAULT_BATCH // 4
 
 
@@ -428,8 +421,8 @@ def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
     significant, so that the slice of one f is a run of q^4 indices.
 
     Each case block is cut into the fewest units of at most
-    ``_SHARED_BATCH`` tuples, of sizes differing by at most one, so each
-    unit has one case.  Exhaustive: at every a, the blocks f = 0 and
+    ``_SHARED_BATCH`` tuples, of sizes differing by at most one
+    (``cut_ranges``), so each unit has one case.  Exhaustive: at every a, the blocks f = 0 and
     f != 0, with weight 1.  Weighted: the torus (see ``torus_weights``)
     scales a by any nonzero s1 and f by any nonzero s2 while it maps the
     (b, c, d, e) of a slice bijectively onto those of the image slice and
@@ -445,12 +438,17 @@ def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
         torus_weights()  # raises unless the basis is graded as assumed above
         blocks = [(a, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
                   for a in (0, 1) for f in (0, 1)]
-    units = []
-    for a, lo, hi, weight in blocks:
-        parts = -(-(hi - lo) // _SHARED_BATCH)
-        cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
-        units += [(a, x, y, weight) for x, y in zip(cuts, cuts[1:])]
-    return units
+    return [(a, x, y, weight) for a, lo, hi, weight in blocks
+            for x, y in cut_ranges(lo, hi, -(-(hi - lo) // _SHARED_BATCH))]
+
+
+def _terms(a, fbcde) -> list:
+    """The terms of X, as ``_kernels.single_block_mask`` and
+    ``_kernels.assemble`` read them, for the value ``a`` and the rows
+    (f, b, c, d, e) of a decoded batch."""
+    coords = (a, *fbcde[1:], fbcde[0])
+    return [(i, j, coords[param], coeff)
+            for i, j, param, coeff in entry_table()]
 
 
 def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
@@ -460,27 +458,15 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
     for a_val, lo, hi, weight in units:
         digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype).T
         f, b, c, d, e = digits
-        coords = (a_val, b, c, d, e, f)
         case = _case_of(a_val, lo // q**4)
-        single = single_block_mask(
-            DIM, [(i, j, coords[param], coeff)
-                  for i, j, param, coeff in entry_table()], ctx.p, hi - lo)
+        single = single_block_mask(DIM, _terms(a_val, digits), ctx.p, hi - lo)
         singles = int(np.count_nonzero(single))
         rest = digits
         if singles:
             full = (case, FULL_RANK_SEQ)
             tally[full] = tally.get(full, 0) + weight * singles
             rest = digits.compress(~single, axis=1)
-        f_r, b_r, c_r, d_r, e_r = rest
-        params = (a_val, b_r, c_r, d_r, e_r, f_r)
-        mats = np.zeros((DIM, DIM, f_r.size), dtype=tables.dtype)
-        columns = {}  # (param, coeff mod p) -> its scaled column
-        for i, j, param, coeff in entry_table():
-            key = (param, coeff % ctx.p)
-            if key not in columns:
-                columns[key] = (params[param] if key[1] == 1
-                                else tables.scale_int(coeff, params[param]))
-            mats[i, j] = columns[key]
+        mats = assemble(_terms(a_val, rest), DIM, rest.shape[1], tables)
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
         # every tuple is checked, the single blocks against (6,5,4,3,2,1)
@@ -521,11 +507,14 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     one or three slices instead of 49 of one) that takes one call of the
     rank kernel and one of the predicate.  ``budget`` bounds the tuples
     the chosen route enumerates.
-    Rank sequences are computed from the matrices themselves.  The single
-    Jordan blocks, whose superdiagonal entries a, f, 2a, a, f, a are all
-    nonzero (the tuples of case 1), are counted in each batch before it is
-    assembled (``single_block_mask``), with the sequence (6,5,4,3,2,1);
-    only the rest is assembled and ranked.  The polynomial
+    Rank sequences are computed from the matrices themselves.  Each batch
+    is turned into the terms of ``entry_table()`` once for the whole batch
+    and once for the rest.  The single Jordan blocks, whose superdiagonal
+    entries a, f, 2a, a, f, a are all nonzero (the tuples of case 1), are
+    read off the first (``single_block_mask``) and counted with the
+    sequence (6,5,4,3,2,1); only the rest is assembled
+    (``_kernels.assemble``, which checks that no two terms share a
+    position) and ranked.  The polynomial
     predicates of ``_predicted_batch`` are validated against the computed
     sequence for every enumerated tuple, single blocks included, and any
     disagreement aborts the census.  Raises ValueError unless ``workers``

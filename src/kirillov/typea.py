@@ -25,6 +25,8 @@ from ._kernels import (
     DEFAULT_BATCH,
     DEFAULT_BUDGET,
     FieldTables,
+    assemble,
+    cut_ranges,
     decode_mixed_radix,
     encode_sequences,
     merge_tallies,
@@ -119,18 +121,18 @@ def conservation_sum(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-# Ranges per worker in a multi-worker census.  Every range is ranked and
-# costs about its size, but ranges are dealt whole, so two shares can
-# differ by one range; at this many per worker that is at most an eighth
-# of a share (share times in BENCH_prefix-ranges.json).
-UNITS_PER_WORKER = 8
+def _terms(n: int, coords) -> list:
+    """The terms of X whose coordinates are the rows of ``coords``, in the
+    census's order: the superdiagonal, then the other strictly upper
+    entries row by row; with only n - 1 rows, the superdiagonal alone."""
+    positions = ([(i, i + 1) for i in range(n - 1)]
+                 + [(i, j) for i in range(n) for j in range(i + 2, n)])
+    return [(i, j, x, 1) for (i, j), x in zip(positions, coords)]
 
 
 def _census_chunk(tables: FieldTables, n: int, prefixes: np.ndarray,
                   ranges: list) -> dict:
     inner = tables.q ** comb(n - 1, 2)
-    diag = np.arange(n - 1)
-    rows, cols = np.triu_indices(n, 2)
     tally: dict[tuple, int] = {}
     for lo, hi in ranges:
         # matrix lo + i has superdiagonal prefixes[:, (lo + i) // inner];
@@ -139,10 +141,10 @@ def _census_chunk(tables: FieldTables, n: int, prefixes: np.ndarray,
         ends = np.minimum(np.arange(first + 1, last + 2) * inner, hi)
         digits = decode_mixed_radix(lo, hi, tables.q, comb(n, 2),
                                     dtype=tables.dtype).T
-        mats = np.zeros((n, n, hi - lo), dtype=tables.dtype)
-        mats[diag, diag + 1] = prefixes[:, first:last + 1].repeat(
-            np.diff(ends, prepend=lo), axis=1)
-        mats[rows, cols] = digits[n - 1:]
+        coords = [*prefixes[:, first:last + 1].repeat(
+            np.diff(ends, prepend=lo), axis=1), *digits[n - 1:]]
+        mats = assemble(_terms(n, coords), n, hi - lo, tables)
+        del coords  # the repeated prefixes are not kept through the ranks
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
         tally_keys(tally, encode_sequences(seqs), n - 1)
@@ -160,11 +162,12 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     with the sequence (n-1, ..., 1).  Every matrix of the other prefixes
     is ranked: their matrices, prefix by prefix with the entries above
     the superdiagonal as a mixed-radix counter, are cut into index ranges
-    of at most ``DEFAULT_BATCH`` (the work units of ``run_census``), and
-    each range is assembled and ranked in one batch.  With several
-    workers the ranges are cut small enough that each worker gets about
-    ``UNITS_PER_WORKER`` of them, counting only as many workers as there
-    are usable CPUs.  Returns the per-partition counts.
+    of sizes differing by at most one (the work units of ``run_census``),
+    and each range is assembled and ranked in one batch.  There are as
+    few ranges of at most ``DEFAULT_BATCH`` as there can be, rounded up
+    to a multiple of the workers that run at once (as many as there are
+    usable CPUs), so that every worker gets as many ranges; never more
+    ranges than matrices.  Returns the per-partition counts.
     Raises TooLarge when the matrices exceed ``budget``, or over GF(p^k)
     the q^2 entries of each gather table, checked before any table is
     built; OverflowError when the field's values overflow int64
@@ -179,20 +182,18 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     tables = FieldTables(ctx, n)
     prefixes = decode_mixed_radix(0, ctx.q ** (n - 1), ctx.q, n - 1,
                                   dtype=tables.dtype).T
-    single = single_block_mask(n, [(i, i + 1, x, 1)
-                                   for i, x in enumerate(prefixes)],
-                               ctx.p, prefixes.shape[1])
+    single = single_block_mask(n, _terms(n, prefixes), ctx.p,
+                               prefixes.shape[1])
     inner = ctx.q ** comb(n - 1, 2)
     singles = {(tuple(range(n - 1, 0, -1)),):
                int(np.count_nonzero(single)) * inner}
     prefixes = prefixes.compress(~single, axis=1)
     space = prefixes.shape[1] * inner
-    step = DEFAULT_BATCH
+    count = -(-space // DEFAULT_BATCH)
     parts = usable_workers(workers)
-    if parts > 1:
-        step = min(step, max(1, -(-space // (parts * UNITS_PER_WORKER))))
-    ranges = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-    tally = run_census(_census_chunk, (tables, n, prefixes), ranges, workers)
+    count = min(space, -(-count // parts) * parts)
+    tally = run_census(_census_chunk, (tables, n, prefixes),
+                       cut_ranges(0, space, count), workers)
     return merge_tallies([singles, tally],
                          lambda key: jordan_type_from_ranks(key[0], n))
 

@@ -201,22 +201,17 @@ def test_predicted_rank_sequence_builds_the_tables_once_per_field(
     assert builds == [49]
 
 
-def test_entry_table_rejects_two_terms_on_one_position(monkeypatch):
+def test_census_rejects_two_terms_on_one_position_of_its_table(monkeypatch):
     # the census writes each entry of X once, which is right only while
-    # no two terms of the table share a position
+    # no two terms of the table share a position; here b also lands on a
+    # position of a
     import kirillov.g2 as g2mod
-    matrices = {root: [list(row) for row in mat]
-                for root, mat in build_chevalley().items()}
+
     i, j, _, _ = next(term for term in entry_table() if term[2] == 0)
-    matrices[PARAM_ROOTS[1]][i][j] = 1  # b onto a position of a
-    monkeypatch.setattr(g2mod, "build_chevalley",
-                        lambda: matrices)
-    entry_table.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="share a position"):
-            entry_table()
-    finally:
-        entry_table.cache_clear()
+    table = entry_table() + ((i, j, 1, 1),)
+    monkeypatch.setattr(g2mod, "entry_table", lambda: table)
+    with pytest.raises(AssertionError, match="share a position"):
+        g2_census(make_prime_field(5))
 
 
 def test_census_gf5_counts():

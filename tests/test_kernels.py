@@ -16,6 +16,8 @@ from kirillov._kernels import (
     _band_product,
     _generator_powers,
     _mod_p,
+    assemble,
+    cut_ranges,
     decode_mixed_radix,
     decode_sequence,
     encode_sequences,
@@ -499,6 +501,78 @@ def test_single_block_mask_finds_the_matrices_of_one_jordan_block(q):
                 [rank_sequence(FMatrix(ctx, m)) == block for m in mats]
 
 
+@pytest.mark.parametrize("q", [7, 25])
+def test_assembled_g2_batch_is_the_matrix_x_of_each_tuple(q):
+    # the terms of X for one a and a batch of (f, b, c, d, e), as the g2
+    # census builds them, assemble to x_of of every tuple; over GF(25)
+    # every coefficient other than 1 is scaled by a table gather
+    import kirillov.g2 as g2
+
+    ctx = field_of_order(q)
+    tables = FieldTables(ctx, g2.DIM)
+    rng = random.Random(q)
+    for a in range(q):
+        fbcde = np.array([[rng.randrange(q) for _ in range(40)]
+                          for _ in range(5)], dtype=tables.dtype)
+        mats = assemble(g2._terms(a, fbcde), g2.DIM, 40, tables)
+        assert mats.shape == (g2.DIM, g2.DIM, 40)
+        assert mats.dtype == tables.dtype
+        for m in range(40):
+            f, b, c, d, e = (int(x) for x in fbcde[:, m])
+            params = g2.G2Params(a, b, c, d, e, f)
+            assert [tuple(row) for row in mats[:, :, m].tolist()] == \
+                list(g2.x_of(params, ctx).rows)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_assembled_type_a_batch_holds_its_coordinates_above_the_diagonal(n):
+    # every strictly upper n x n matrix over GF(4), decoded as type A
+    # decodes it (the superdiagonal first, then the other entries row by
+    # row), holds its coordinates there and zeros elsewhere
+    import kirillov.typea as typea
+
+    q, width = 4, comb(n, 2)
+    tables = FieldTables(field_of_order(q), n)
+    coords = decode_mixed_radix(0, q**width, q, width, tables.dtype).T
+    mats = assemble(typea._terms(n, coords), n, q**width, tables)
+    positions = ([(i, i + 1) for i in range(n - 1)]
+                 + [(i, j) for i in range(n) for j in range(i + 2, n)])
+    expected = np.zeros((n, n, q**width), dtype=tables.dtype)
+    for (i, j), row in zip(positions, coords):
+        expected[i, j] = row
+    assert mats.dtype == tables.dtype and np.array_equal(mats, expected)
+    assert sorted(positions) == [(i, j) for i in range(n)
+                                 for j in range(i + 1, n)]
+
+
+def test_assemble_rejects_two_terms_on_one_position():
+    # each entry is written once, so a second term on a position would be
+    # lost; here the entry (0, 2) of a type-A terms list appears twice
+    import kirillov.typea as typea
+
+    tables = FieldTables(field_of_order(5), 3)
+    coords = np.arange(15, dtype=tables.dtype).reshape(3, 5) % 5
+    terms = typea._terms(3, coords)
+    assert assemble(terms, 3, 5, tables)[0, 2].tolist() == \
+        coords[2].tolist()
+    with pytest.raises(AssertionError, match="share a position"):
+        assemble(terms + [(0, 2, coords[0], 1)], 3, 5, tables)
+
+
+@pytest.mark.parametrize("lo, hi, count", [
+    (0, 43_561, 2), (0, 158_193, 6), (7, 7, 0), (3, 10, 7), (5, 105, 3)])
+def test_cut_ranges_tiles_its_range_in_sizes_differing_by_at_most_one(
+        lo, hi, count):
+    ranges = cut_ranges(lo, hi, count)
+    assert len(ranges) == count
+    assert [x for lo_hi in ranges for x in lo_hi] == \
+        ([lo] + [y for _, y in ranges[:-1] for _ in (0, 1)] + [hi]
+         if count else [])
+    sizes = [y - x for x, y in ranges]
+    assert all(size > 0 for size in sizes)
+    assert not sizes or max(sizes) - min(sizes) <= 1
+
+
 @pytest.mark.parametrize("q", [7, 9])
 def test_rank_batch_with_a_column_that_has_a_pivot_in_some_matrices_only(q):
     # column 0 has a pivot in the first two matrices and none in the
@@ -926,7 +1000,7 @@ def test_censuses_decode_their_spaces_exactly(monkeypatch):
     for module in (g2, typea):
         monkeypatch.setattr(module, "decode_mixed_radix", recording)
         monkeypatch.setattr(module, "run_census", in_process)
-    for n, q, workers, count in ((5, 3, 1, 2), (4, 4, 2, 16), (4, 9, 1, 5)):
+    for n, q, workers, count in ((5, 3, 1, 2), (4, 4, 2, 2), (4, 9, 1, 5)):
         calls.clear()
         units.clear()
         typea.brute_force_census(n, field_of_order(q), workers=workers)

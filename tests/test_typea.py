@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import os
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_census_worker_split_deterministic(monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
     ctx = field_of_order(3)
     single = brute_force_census(5, ctx, workers=1)
-    # the 47,385 of the 3^10 matrices that are ranked, in 16 and 24 index
+    # the 47,385 of the 3^10 matrices that are ranked, in 2 and 3 index
     # ranges, dealt round-robin
     for workers in (2, 3):
         assert brute_force_census(5, ctx, workers=workers) == single
@@ -159,35 +160,52 @@ def test_census_refuses_a_field_too_large_before_counting(monkeypatch):
         brute_force_census(1, make_prime_field(3037000507))
 
 
+def _ranges_by_process(chunk, *args) -> dict:
+    """The tally of ``chunk(*args)``, plus the number of ranges this
+    process ran, under the key ("ranges", pid)."""
+    tally = chunk(*args)
+    tally[("ranges", os.getpid())] = len(args[-1])
+    return tally
+
+
 def test_census_cuts_several_ranges_per_worker(monkeypatch):
+    # as few ranges of at most DEFAULT_BATCH as there can be, rounded up
+    # to a multiple of the workers, of sizes differing by at most one and
+    # tiling the matrices ranked (all 7^6 but the 7^3 6^3 single Jordan
+    # blocks over GF(7), all 9^6 but 9^3 8^3 over GF(9)).  Over GF(9) the
+    # fewest ranges are 5, which two workers would share 3 and 2; it takes
+    # 6, 3 for each worker
     import kirillov._kernels as kernels
     import kirillov.typea as typea
 
-    units = []
+    units, shares = [], []
     run_census = typea.run_census
 
-    def capture(chunk, head, share, workers):
-        units.append(share)
-        return run_census(chunk, head, share, workers)
+    def capture(chunk, head, work, workers):
+        units.append(work)
+        tally = run_census(_ranges_by_process, (chunk, *head), work, workers)
+        shares.append(sorted(tally.pop(key) for key in list(tally)
+                             if key[0] == "ranges"))
+        return tally
 
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(typea, "run_census", capture)
-    ctx = make_prime_field(7)
-    # the ranked matrices: all 7^6 but the 7^3 6^3 single Jordan blocks
-    space, batch = 7**6 - 7**3 * 6**3, typea.DEFAULT_BATCH
-    counts = brute_force_census(4, ctx, workers=1)
-    assert brute_force_census(4, ctx, workers=2) == counts
-    one, two = units
-    # one worker: batch-sized ranges
-    assert one == [(lo, min(lo + batch, space))
-                   for lo in range(0, space, batch)]
-    assert len(one) == 2
-    # two workers: enough ranges that each gets UNITS_PER_WORKER of them
-    assert len(two) >= 2 * typea.UNITS_PER_WORKER
-    assert max(hi - lo for lo, hi in two) <= batch
-    for ranges in (one, two):
-        assert ranges[0][0] == 0 and ranges[-1][1] == space
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+    for q, sizes in ((7, {1: [21_780, 21_781], 2: [21_780, 21_781]}),
+                     (9, {1: [31_638] * 2 + [31_639] * 3,
+                          2: [26_365] * 3 + [26_366] * 3})):
+        space = q**6 - q**3 * (q - 1) ** 3
+        units.clear()
+        shares.clear()
+        ctx = field_of_order(q)
+        with deadline(60):
+            counts = brute_force_census(4, ctx, workers=1)
+            assert brute_force_census(4, ctx, workers=2) == counts
+        for ranges, workers in zip(units, (1, 2)):
+            assert ranges[0][0] == 0 and ranges[-1][1] == space
+            assert all(prev[1] == nxt[0]
+                       for prev, nxt in zip(ranges, ranges[1:]))
+            assert sorted(hi - lo for lo, hi in ranges) == sizes[workers]
+        assert shares == ([[2], [1, 1]] if q == 7 else [[5], [3, 3]])
 
 
 def test_census_budget_guards():
