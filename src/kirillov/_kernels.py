@@ -663,11 +663,12 @@ def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     forked child per other share computes its own and sends the tally
     back over a pipe, so ``chunk`` must be a module-level function.
     Every result is received before any child is joined: a large tally
-    would fill the pipe and block its sender.  A child's exception is re-raised as it is, a child
-    that dies without sending raises RuntimeError, and on every path the
-    children still running are terminated and all are joined.  Tallies
-    add up in share order, so the result is the same for any number of
-    workers.  Raises ValueError unless ``workers`` >= 1.
+    would fill the pipe and block its sender.  A child's exception is
+    re-raised as it is, a child that dies without sending raises
+    RuntimeError, and on every path the children still running are
+    terminated and all are joined.  Tallies add up in share order, so the
+    result is the same for any number of workers.  Raises ValueError
+    unless ``workers`` >= 1.
     """
     parts = max(1, min(usable_workers(workers), len(units)))
     shares = [units[w::parts] for w in range(parts)]

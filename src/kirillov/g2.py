@@ -422,7 +422,8 @@ def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
 
     Each case block is cut into the fewest units of at most
     ``_SHARED_BATCH`` tuples, of sizes differing by at most one
-    (``cut_ranges``), so each unit has one case.  Exhaustive: at every a, the blocks f = 0 and
+    (``cut_ranges``), so each unit has one case.
+    Exhaustive: at every a, the blocks f = 0 and
     f != 0, with weight 1.  Weighted: the torus (see ``torus_weights``)
     scales a by any nonzero s1 and f by any nonzero s2 while it maps the
     (b, c, d, e) of a slice bijectively onto those of the image slice and

@@ -524,25 +524,24 @@ def test_assembled_g2_batch_is_the_matrix_x_of_each_tuple(q):
                 list(g2.x_of(params, ctx).rows)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_assembled_type_a_batch_holds_its_coordinates_above_the_diagonal(n):
-    # every strictly upper n x n matrix over GF(4), decoded as type A
+@pytest.mark.parametrize("n, q", [(3, 4), (4, 4), (5, 2)])
+def test_assembled_type_a_batch_holds_its_coordinates_above_the_diagonal(
+        n, q):
+    # every strictly upper n x n matrix over GF(q), decoded as type A
     # decodes it (the superdiagonal first, then the other entries row by
-    # row), holds its coordinates there and zeros elsewhere
+    # row, which differs from column by column from n = 5 on), holds its
+    # coordinates there and zeros elsewhere
     import kirillov.typea as typea
 
-    q, width = 4, comb(n, 2)
+    width = comb(n, 2)
     tables = FieldTables(field_of_order(q), n)
     coords = decode_mixed_radix(0, q**width, q, width, tables.dtype).T
     mats = assemble(typea._terms(n, coords), n, q**width, tables)
-    positions = ([(i, i + 1) for i in range(n - 1)]
-                 + [(i, j) for i in range(n) for j in range(i + 2, n)])
     expected = np.zeros((n, n, q**width), dtype=tables.dtype)
-    for (i, j), row in zip(positions, coords):
-        expected[i, j] = row
+    diag = np.arange(n - 1)
+    expected[diag, diag + 1] = coords[:n - 1]
+    expected[np.triu_indices(n, 2)] = coords[n - 1:]
     assert mats.dtype == tables.dtype and np.array_equal(mats, expected)
-    assert sorted(positions) == [(i, j) for i in range(n)
-                                 for j in range(i + 1, n)]
 
 
 def test_assemble_rejects_two_terms_on_one_position():
@@ -565,12 +564,11 @@ def test_cut_ranges_tiles_its_range_in_sizes_differing_by_at_most_one(
         lo, hi, count):
     ranges = cut_ranges(lo, hi, count)
     assert len(ranges) == count
-    assert [x for lo_hi in ranges for x in lo_hi] == \
-        ([lo] + [y for _, y in ranges[:-1] for _ in (0, 1)] + [hi]
-         if count else [])
-    sizes = [y - x for x, y in ranges]
-    assert all(size > 0 for size in sizes)
-    assert not sizes or max(sizes) - min(sizes) <= 1
+    if count:
+        assert ranges[0][0] == lo and ranges[-1][1] == hi
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+        sizes = [y - x for x, y in ranges]
+        assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("q", [7, 9])
