@@ -127,6 +127,27 @@ process forked earlier would run the code as it was at that fork, and so
 miss the wrappers a profiler installs between calls (or a test's
 monkeypatches), and it could outlive the caller's run.  The number of
 shares is capped at the CPUs the process may run on.
+
+``run_census`` first allocates one array of ``DEFAULT_BATCH * 64``
+bytes (2 MiB) and drops it at once, to tune glibc's allocator.  glibc
+maps a block above its mmap threshold (128 KiB at start) on its own, and
+when such a block of at most 32 MiB is freed, it raises that threshold
+to the block's size and its trim threshold to twice that (``mallopt(3)``,
+dynamic adjustment of M_MMAP_THRESHOLD).  From then on, every array
+below 2 MiB comes from the heap, and the free top of the heap goes back
+to the system only once it exceeds 4 MiB, so a census whose batches
+hold less than that at once reuses the same pages from batch to batch,
+in forked children too; otherwise the next batch faults its pages in
+again.  The size is 64 bytes per matrix of a full batch, more than any
+one batch array of a census within the default budget takes (at most
+49; g2's batches hold a quarter as many matrices in up to four bytes an
+entry), and below 4 MiB, the size from which numpy advises the kernel to
+back an array with huge pages (``madvise``).  ``np.empty`` writes none
+of the array, so resident memory does not grow, and nothing is held: a
+buffer kept alive would leave no large free block, and the threshold
+would stay down.  Under an allocator without this rule the call is one
+short-lived allocation.  ``BENCH_heap-threshold.json`` records what it
+changes.
 """
 
 from __future__ import annotations
@@ -670,6 +691,7 @@ def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     result is the same for any number of workers.  Raises ValueError
     unless ``workers`` >= 1.
     """
+    np.empty(DEFAULT_BATCH * 64, dtype=np.uint8)  # see the module docstring
     parts = max(1, min(usable_workers(workers), len(units)))
     shares = [units[w::parts] for w in range(parts)]
     if parts == 1:

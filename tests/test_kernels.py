@@ -1,6 +1,10 @@
 import multiprocessing as mp
 import os
+import platform
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import lru_cache
@@ -1316,3 +1320,48 @@ def test_censuses_reject_fewer_than_one_worker(workers):
         census_cached(5, workers=workers)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         brute_force_census(3, make_prime_field(3), workers=workers)
+
+
+# What a fresh process prints: the minor faults of a census with no work,
+# so of the allocation alone, then those of a second type-A and a second
+# weighted g2 census.  Faults count the pages made resident; ru_maxrss
+# cannot show them, because a child started by this process begins with
+# this process's peak.
+_HEAP_PROBE = """
+import resource
+
+from kirillov._kernels import run_census
+from kirillov.fields import field_of_order
+from kirillov.g2 import g2_census
+from kirillov.typea import brute_force_census
+
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = faults()
+run_census(lambda share: {}, (), [0], 1)
+print(faults() - start)
+for census in (lambda: brute_force_census(4, field_of_order(9)),
+               lambda: g2_census(field_of_order(13), exhaustive=False)):
+    census()
+    start = faults()
+    census()
+    print(faults() - start)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the dynamic mmap threshold is glibc's")
+def test_census_batches_reuse_heap_pages_without_growing_resident_memory():
+    import kirillov
+
+    src = os.path.dirname(os.path.dirname(kirillov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    alloc_faults, typea_faults, g2_faults = map(int, out.split())
+    # the 2 MiB allocation makes less than 1 MiB resident
+    assert alloc_faults * resource.getpagesize() < 1 << 20
+    # without the threshold raised, these took about 1,200 and 3,700
+    assert typea_faults < 50 and g2_faults < 50
