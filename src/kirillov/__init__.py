@@ -1,8 +1,10 @@
 """Jordan-type censuses of nilpotent matrices over finite fields.
 
-Type A counts come from the removable-cell recursion; the g2 counts come
-from an exhaustive census of the parametrized 7x7 representation plus
-exact interpolation.  See the README for the CLI surface.
+Type A counts come from the removable-cell recursion.  The g2 counts
+come from censuses of the parametrized 7x7 representation plus exact
+interpolation: ``g2_interpolate`` and the CLI take the torus-weighted
+route (4q^4 tuples) unless asked for the exhaustive one (all q^6), the
+default of ``g2_census``.  See the README for the CLI surface.
 """
 
 from .errors import (

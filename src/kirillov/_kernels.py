@@ -1,90 +1,26 @@
-"""Vectorized GF(q) linear algebra for the enumeration censuses.
+"""Vectorized GF(q) linear algebra for the enumeration censuses, and the
+census engine both of them run on (``run_census``).
 
 The censuses walk q^6 (or q^(n(n-1)/2)) parameter tuples, so rank
-sequences are computed in numpy batches of field-encoded n x n matrices.
-Prime fields work directly on residues mod p: products are integer
-multiply-adds reduced mod p once per power, and elimination subtracts in
-place and delays the reduction of the trailing block (see ``rank_batch``
-for the bound that keeps it exact).  Extension fields GF(p^k) work on
-the same n x n matrices: every sum, difference and product is a gather
-from a table that ``FieldTables`` builds once per field (the
-table-lookup arithmetic of small-field linear algebra libraries).
-Inverses are a gather for every q.  Both run the same lockstep
-elimination, which never swaps rows but tracks the rows still without a
-pivot, so the batched route computes the same ranks as the exact
-reference implementation in ``fields`` (cross-checked in the tests).
+sequences are computed in numpy batches of field-encoded n x n matrices:
+on residues mod p over GF(p), and over GF(p^k) by gathers from the tables
+``FieldTables`` builds once per field (the table-lookup arithmetic of
+small-field linear algebra libraries).  The ranks are those of the exact
+reference implementation in ``fields`` (cross-checked in the tests).  All
+matrices fed in here are strictly upper triangular, so the i-th power is
+supported on the band column - row >= i; products and ranks are
+restricted to that band to save work.
 
-All matrices fed in here are strictly upper triangular, so the i-th
-power is supported on the band column - row >= i; products and ranks
-are restricted to that band to save work.
-
-Most matrices a census enumerates are single Jordan blocks, and the
-censuses count those without ranking them.  The corner entry of X^(n-1)
-is the product of the superdiagonal entries, so X is a single block,
-with rank sequence (n-1, ..., 1), exactly when none of them is zero;
-``single_block_mask`` reads that off the decoded coordinates.  They are
-q^C(n-1,2) (q-1)^(n-1) of the q^C(n,2) strictly upper n x n matrices and
-the q^4 (q-1)^2 g2 tuples with a f != 0 (86,436 of 117,649 over GF(7),
-73%).  Type A decodes the settings of the superdiagonal alone and counts
-each single one q^C(n-1,2) times, so it never decodes a single block;
-g2 tells them apart in each decoded batch, which it checks against its
-predicate, and assembles only the rest.  So ``power_rank_sequences``
-ranks every matrix it gets.  When it told the single blocks apart
-itself, inside the assembled batch, it took the rest out by a ``take``,
-scattered their ranks back power by power, and every single block's
-sequence was packed and tallied (``BENCH_single-blocks.json``).
-
-The kernels take batches as (B, n, n) arrays but compute batch-last, on
-(n, n, B) arrays.  The matrices are small (n <= 7): with the batch first,
-an elementwise operation on a block of rows runs numpy's innermost loop
-over a row of 2 to 7 entries; batch-last, that loop runs over the B
-matrices.  On 6,881 matrices of 5 x 5 residues mod 7 the update
-``a -= f * pivrow`` of one elimination step took 0.53 ms batch-first and
-0.07 ms batch-last (2-vCPU Xeon, numpy 2.4).  The censuses therefore
-assemble (n, n, B) arrays (``assemble``, from the terms that
-``single_block_mask`` reads too) and pass their (B, n, n) transposed
-views, which the kernels turn back without a copy.
-
-Elimination updates rows only in the columns where an update can change
-an entry.  The last column has no entries to its right, and a column
-that reaches only row 0 (``reach`` in ``rank_batch``) has no other row
-that could hold a nonzero entry there; both add their pivots to the
-rank without a row update.  Column 0 of every strictly upper band is of
-the second kind, so for n = 4 the 2 x 2 band of X^2 is never updated and
-the 3 x 3 band of X in one column of three, and the 6 x 6 band of a g2
-matrix in four columns of six.  The n = 4 census over GF(8) and GF(9)
-took 56 to 57 ms with an update on every column and 29 to 31 ms without
-the idle ones, and the exhaustive g2 census over GF(7) 28 to 30 ms and
-26 to 28 ms (2-vCPU Xeon, numpy 2.4).
-
-The index bookkeeping around the kernels avoids per-element division and
-scatter.  Dividing every index once per digit made ``decode_mixed_radix``
-0.031 s of a 0.19 s traced pass of the n = 4 type-A census over GF(8)
-and GF(9); writing each digit column from its periodic pattern cut that
-to 0.006 s (1.1 ms to 0.1 ms for 32,768 indices of 6 digits).  On
-32,768 matrices, clearing the pivots from the free mask by a fancy-index
-read-modify-write took 0.50 ms per column, and a broadcast comparison
-with the pivot rows 0.08 ms (2-vCPU Xeon, numpy 2.4).  No kernel
+The layout is batch-last.  The kernels take batches as (B, n, n) arrays
+but compute on (n, n, B) arrays, so that numpy's innermost loop runs
+over the B matrices rather than over a row of 2 to 7 entries
+(``BENCH_batch-last.json``).  The censuses assemble (n, n, B) arrays
+(``assemble``) and pass their (B, n, n) transposed views, which the
+kernels turn back without a copy.  For the same reason no kernel
 reduces or indexes across the row axis of a (rows, B) array: numpy runs
 ``argmax`` over that axis, and a fancy index across it, one matrix at a
 time, while an elementwise step on each row is vectorized along the
-batch.  So ``rank_batch`` marks each column's pivots with a
-one-hot mask down the rows, not with ``argmax`` and a fancy index.  On a
-(3, 32,768) mask, ``argmax`` took 0.69 ms and reading the pivot values by
-fancy index 0.14 to 0.20 ms, while the running OR that builds the one-hot
-mask took 0.02 ms and the masked sum that reads the values 0.01 to 0.02
-ms; one ``rank_batch`` call on 32,768 3 x 3 bands over GF(9) went from
-1.30 to 1.35 ms to 0.50 to 0.64 ms.
-
-Every reduction mod p of an array is ``_mod_p``, x - x // p * p in place
-with one temporary, not ``%`` or ``np.mod``: numpy 2.4 vectorizes floor
-division by a scalar (division by an invariant integer, Granlund and
-Montgomery, PLDI 1994) but computes the remainder one element at a time.
-On 65,536 entries, ``x % 7`` took 0.46 ms on int8 and 0.39 ms on int16,
-and the floor division form 0.012 and 0.017 ms; ``x % 107`` on int32
-0.51 ms against 0.036 ms.  The delayed reduction (see ``rank_batch``)
-keeps the number of reductions low, and this keeps each one cheap.  All
-figures in this paragraph and the one above: 2-vCPU Xeon, numpy 2.4.
+batch.
 
 Every limit on the element type is one number, ``FieldTables.bound(m)``:
 the largest value any kernel forms on matrices with m columns, m (p-1)^2
@@ -113,41 +49,8 @@ there it wraps.  The wrap cancels in the subtraction that follows,
 because numpy's integer arithmetic is two's complement (exact mod
 2^bits) and the residue x mod p fits the type, so the result is exact on
 every value of the type (checked on every int8 and int16 value in the
-tests).  On 32,768 matrices of 4 x 4 over GF(9), ``power_rank_sequences``
-took 8.2 ms on int32 and 4.4 ms on int8; on 32,768 matrices of 7 x 7
-over GF(7), 31.8 ms on int32 and 24.8 ms on int16 (2-vCPU Xeon, numpy
-2.4).
-
-Both censuses run on ``run_census``: a family supplies a chunk function
-and its work units, and the engine deals them into shares and adds the
-tallies.  With several shares the calling process computes the first
-itself and forks one child per other share, so two workers cost a
-single fork.  Every call forks afresh and keeps no pool: a
-process forked earlier would run the code as it was at that fork, and so
-miss the wrappers a profiler installs between calls (or a test's
-monkeypatches), and it could outlive the caller's run.  The number of
-shares is capped at the CPUs the process may run on.
-
-``run_census`` first allocates one array of ``DEFAULT_BATCH * 64``
-bytes (2 MiB) and drops it at once, to tune glibc's allocator.  glibc
-maps a block above its mmap threshold (128 KiB at start) on its own, and
-when such a block of at most 32 MiB is freed, it raises that threshold
-to the block's size and its trim threshold to twice that (``mallopt(3)``,
-dynamic adjustment of M_MMAP_THRESHOLD).  From then on, every array
-below 2 MiB comes from the heap, and the free top of the heap goes back
-to the system only once it exceeds 4 MiB, so a census whose batches
-hold less than that at once reuses the same pages from batch to batch,
-in forked children too; otherwise the next batch faults its pages in
-again.  The size is 64 bytes per matrix of a full batch, more than any
-one batch array of a census within the default budget takes (at most
-49; g2's batches hold a quarter as many matrices in up to four bytes an
-entry), and below 4 MiB, the size from which numpy advises the kernel to
-back an array with huge pages (``madvise``).  ``np.empty`` writes none
-of the array, so resident memory does not grow, and nothing is held: a
-buffer kept alive would leave no large free block, and the threshold
-would stay down.  Under an allocator without this rule the call is one
-short-lived allocation.  ``BENCH_heap-threshold.json`` records what it
-changes.
+tests).  The narrowest type is chosen for speed: each batch operation
+then moves the fewest bytes (``BENCH_narrow-dtype.json``).
 """
 
 from __future__ import annotations
@@ -170,7 +73,11 @@ def _check_fits(bound: int, dtype, what: str) -> None:
 
 
 def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, as x - x // p * p (see the module docstring)."""
+    """x mod p in place, as x - x // p * p with one temporary, exact on
+    every value of the type (see the module docstring).  Not ``%``: numpy
+    vectorizes floor division by a scalar (division by an invariant
+    integer, Granlund and Montgomery, PLDI 1994) but computes the
+    remainder one element at a time (``BENCH_floor-mod.json``)."""
     r = x // p
     r *= p
     x -= r
@@ -195,16 +102,16 @@ def decode_mixed_radix(start: int, stop: int, radix: int, width: int,
     (width, stop - start) array the digits are written into, so that each
     digit column is one contiguous row of memory.
 
-    Nothing is divided per index.  The digit of weight w = radix^j is
-    k % radix across the block of indices k*w .. k*w + w - 1, so each
-    column repeats a pattern of period radix * w.  Where whole periods fit
-    in the range, the pattern is built once and copied over them;
-    otherwise the range touches at most count / w + 2 blocks, and the
-    column repeats each block's digit over the part of the block inside
-    the range.  Work and memory stay O(count * width) however large
-    radix**width is.  Raises ValueError unless radix >= 2, width >= 0 and
-    0 <= start <= stop <= radix**width, and OverflowError unless ``dtype``
-    holds radix - 1, the largest digit.
+    Nothing is divided per index (``BENCH_index-bookkeeping.json``).  The
+    digit of weight w = radix^j is k % radix across the block of indices
+    k*w .. k*w + w - 1, so each column repeats a pattern of period
+    radix * w.  Where whole periods fit in the range, the pattern is built
+    once and copied over them; otherwise the range touches at most
+    count / w + 2 blocks, and the column repeats each block's digit over
+    the part of the block inside the range.  Work and memory stay
+    O(count * width) however large radix**width is.  Raises ValueError
+    unless radix >= 2, width >= 0 and 0 <= start <= stop <= radix**width,
+    and OverflowError unless ``dtype`` holds radix - 1, the largest digit.
     """
     if radix < 2 or width < 0 or not 0 <= start <= stop <= radix**width:
         raise ValueError(f"no range {start}..{stop} of {width} digits in "
@@ -246,28 +153,26 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     the pivot, and every other free row subtracts its multiple of the
     pivot row from the columns to the right; the rank is the number of
     pivots.  Exact: for k = 1 all arithmetic is on integers mod p, for
-    k > 1 it is gathers from the field's tables.
+    k > 1 it is gathers from the field's tables.  It runs on a fresh
+    batch-last (r, c, B) copy, never a view of ``mats``, so the caller's
+    batch is left as it was, in any layout.
 
     The pivots are a one-hot (rows, B) mask, ``first``, not an index: a
-    running OR down the candidate rows (free and nonzero in the column)
-    keeps in each matrix only the first of them, and the OR itself says
-    which matrices have a pivot.  The pivot value is the sum of the
+    running OR, ``has``, down the candidate rows (free and nonzero in the
+    column) keeps in each matrix only the first of them, and says at the
+    end which matrices have a pivot.  The pivot value is the sum of the
     column under that mask and the pivot row the sum of the trailing
     block under it, each sum having one nonzero term; the pivot leaves
     the free mask by clearing it.  Every step is elementwise along the
     batch, where ``argmax`` over the rows and a fancy index of the pivot
-    across them are not (figures in the module docstring).
-
-    The elimination runs on a batch-last (r, c, B) copy: every operation
-    then loops over the B matrices in its innermost loop rather than over
-    a row of 2 to 7 entries.  It is a fresh copy (never a view of
-    ``mats``, which the elimination would overwrite), so the caller's
-    batch is left as it was, in any layout.
+    across them are not (the layout of the module docstring;
+    ``BENCH_floor-mod.json``).
 
     A row whose first nonzero column anywhere in the batch (its lead) lies
     beyond the current column has never been touched: each earlier
     column found it zero, so it was neither a pivot nor updated.  Column
-    ``col`` therefore works on rows up to the last one with lead <= col.
+    ``col`` therefore works on rows 0..reach[col]-1, up to the last one
+    with lead <= col (an all-zero row leads at c).
 
     Only a column with entries to its right and more than one row it
     reaches is eliminated.  On the last column the update has no entries
@@ -276,9 +181,8 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     so row 0 is its pivot wherever there is one and no other row is
     updated: the pivots are added and row 0 leaves the free mask.  Column
     0 of every strictly upper band is of that kind, so for n = 4 the 2 x 2
-    band of X^2 runs no update and the 3 x 3 band of X one of three (5.2
-    to 5.4 ms against 1.7 to 2.3 ms for the three bands of 32,768 matrices
-    over GF(9), 2-vCPU Xeon, numpy 2.4).
+    band of X^2 runs no update and the 3 x 3 band of X one of three
+    (``BENCH_rank-shortcuts.json``).
 
     For k = 1 the reduction mod p is delayed (Dumas, Giorgi and Pernet,
     FFLAS-FFPACK): only the current column and the pivot row are reduced,
@@ -303,9 +207,6 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     rank = np.zeros(bsize, dtype=a.dtype)
     if not a.any():
         return rank
-    # reach[col]: 1 + the last row whose lead is at most col, where the
-    # lead of a row is its first column that is nonzero in some matrix
-    # (an all-zero row leads at ncols)
     nonzero = a.any(axis=2)
     lead = (~np.logical_or.accumulate(nonzero, axis=1)).sum(axis=1)
     reach = np.zeros(ncols + 1, dtype=np.intp)
@@ -315,9 +216,6 @@ def rank_batch(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     for col in range(ncols):
         hi = reach[col]
         colv = _mod_p(a[:hi, col], p) if prime else a[:hi, col]
-        # first: the pivot, the first free row nonzero in this column, as
-        # a one-hot mask down the rows, by a running OR (has) of the rows
-        # above; after the loop, has marks the matrices with a pivot
         first = free[:hi] & (colv != 0)
         has = np.zeros(bsize, dtype=bool)
         for r in range(hi):
@@ -396,6 +294,10 @@ def single_block_mask(n: int, terms, p: int, size: int) -> np.ndarray:
     coefficient is nonzero mod p and its coordinate is nonzero.  A
     superdiagonal position with no term is zero.  Returns a boolean
     array of ``size``.
+
+    Most matrices a census enumerates are single blocks (q^C(n-1,2)
+    (q-1)^(n-1) of the q^C(n,2)), so the censuses count them from this
+    mask and rank only the rest (``BENCH_single-blocks.json``).
     """
     diag = {i: (values, coeff % p) for i, j, values, coeff in terms
             if j == i + 1}
@@ -430,25 +332,17 @@ def assemble(terms, n: int, size: int, t: "FieldTables") -> np.ndarray:
 def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     """Rank sequences (r_1 .. r_{n-1}) for strictly upper triangular input.
 
-    ``mats`` has shape (B, n, n) and holds field-encoded entries; the
-    i-th power is supported on rows 0..n-i-1 and columns i..n-1, so each
-    product keeps only the rows that can still be nonzero and each rank
-    is taken on that band.  Powers come from ``_band_product``: integer
-    multiply-adds reduced mod p for k = 1, table gathers for k > 1.
+    ``mats`` has shape (B, n, n), holds field-encoded entries and is only
+    read; the work runs batch-last, on ``mats.transpose(1, 2, 0)`` (see
+    the module docstring).  The i-th power is supported on rows 0..n-i-1
+    and columns i..n-1, so each product (``_band_product``) keeps only the
+    rows that can still be nonzero and each rank is taken on that band.
     Raises OverflowError unless the dtype of ``mats`` holds ``t.bound(n)``;
     the sequences keep that dtype.
 
-    The work runs batch-last, on ``mats.transpose(1, 2, 0)`` with shape
-    (n, n, B), so numpy's inner loops run over the batch and not over
-    rows of at most n entries.  The censuses assemble their batches as
-    (n, n, B) arrays and pass the (B, n, n) view of them, for which that
-    transpose is contiguous again.  ``mats`` is only read.
-
-    Every matrix is ranked at every power; the censuses count the single
-    Jordan blocks before they assemble a batch (``single_block_mask``)
-    and pass only the rest.  Once a power has rank 0 on every matrix, all
-    higher powers are zero too: they are not multiplied out, and each is
-    ranked as an all-zero band of its shape.
+    Once a power has rank 0 on every matrix, all higher powers are zero
+    too: they are not multiplied out, and each is ranked as an all-zero
+    band of its shape.
     """
     bsize, _, n = mats.shape
     _check_fits(t.bound(n), mats.dtype, f"GF({t.q}) values on {n} columns")
@@ -472,13 +366,12 @@ def encode_sequences(seqs: np.ndarray) -> np.ndarray:
 
     The keys of m ranks are built in place, shifted and or-ed one column
     at a time, in the narrowest signed type that holds 16^m - 1 (int16
-    for the 3 ranks of the n = 4 type-A census, int32 for the 6 of g2);
-    16 ranks fill an int64, the first one's top bit in the sign bit.  On
-    32,768 sequences of 3 ranks that took 0.04 to 0.05 ms, against 0.12
-    ms for int64 keys with every column widened to int64 first (2-vCPU
-    Xeon, numpy 2.4).  Raises OverflowError for more than 16 entries, the
-    first of which would be shifted out of the key, and for a rank outside
-    0..15, which 4 bits cannot hold.
+    for the 3 ranks of the n = 4 type-A census, int32 for the 6 of g2),
+    not in int64 with every column widened first
+    (``BENCH_rank-shortcuts.json``); 16 ranks fill an int64, the first
+    one's top bit in the sign bit.  Raises OverflowError for more than 16
+    entries, the first of which would be shifted out of the key, and for
+    a rank outside 0..15, which 4 bits cannot hold.
     """
     if seqs.shape[1] > 16:
         raise OverflowError(f"{seqs.shape[1]} ranks do not fit a 64-bit key "
@@ -524,11 +417,11 @@ def _generator_powers(ctx: FieldCtx) -> np.ndarray:
 class FieldTables:
     """Lookup tables for vectorized arithmetic in GF(q), q = p^k.
 
-    Arrays hold field-encoded elements in the narrowest integer type that
-    holds ``bound(n)``, n being the size of the matrices the kernels will
-    multiply; it is checked before any table is built.  For every q,
-    ``inv_t`` (0 -> 0) comes from the discrete logarithms to a generator
-    found with ``ctx.mul``.  For k = 1 the other helpers are residue
+    Arrays hold field-encoded elements in ``dtype``, the element type of
+    the module docstring for matrices of size n; it is chosen, and
+    checked, before any table is built.  For every q, ``inv_t`` (0 -> 0)
+    comes from the discrete logarithms to a generator found with
+    ``ctx.mul``.  For k = 1 the other helpers are residue
     arithmetic mod p; for k > 1 they gather from q x q tables: ``add_t``
     and ``sub_t`` are ``ctx.add`` and ``ctx.sub`` on every pair, and
     ``mul_t`` comes from the logarithms.
@@ -553,11 +446,8 @@ class FieldTables:
             self.mul_t[0, :] = self.mul_t[:, 0] = 0
 
     def bound(self, m: int) -> int:
-        """The largest value any kernel forms on matrices with m columns:
-        m (p-1)^2 over GF(p), which covers the products and the delayed
-        elimination, and max(q^2 - 1, m) over GF(p^k), which covers the
-        table indices x*q + y.  Either way it covers the ranks, at most m.
-        """
+        """The largest value any kernel forms on matrices with m columns
+        (the module docstring shows that each kernel stays within it)."""
         if self.k == 1:
             return m * (self.p - 1) ** 2
         return max(self.q * self.q - 1, m)
@@ -586,14 +476,11 @@ class FieldTables:
         return self.mul(m % self.p, x)
 
     def embed(self, elem_mats: np.ndarray) -> np.ndarray:
-        """The batch the rank kernels take: the field-encoded batch itself.
-
-        The kernels work on field-encoded matrices for every q, so nothing
-        is converted.  The census chunks still pass each assembled batch
-        through here once, so that assembly and rank computation meet at
-        one named boundary, which the ``perfbench`` tracer times as the
-        ``kernels.embed`` layer.
-        """
+        """The field-encoded batch itself, which the rank kernels take for
+        every q.  The census chunks pass each assembled batch through here
+        once, so that assembly and rank computation meet at one named
+        boundary, which the ``perfbench`` tracer times as the
+        ``kernels.embed`` layer."""
         return elem_mats
 
 
@@ -674,15 +561,13 @@ def _receive(proc, conn) -> dict:
 def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     """Sum the tallies ``chunk(*head, share)`` for up to ``workers`` shares.
 
-    The units are dealt round-robin: g2's costly ones (those whose
-    matrices are not single Jordan blocks) fill the start of its list and
-    lead the block of every a, so neighbours go to different shares; type
-    A's ranges are all ranked, differ in size by at most one
-    (``cut_ranges``) and come in a multiple of the usable workers, so
-    every share gets as many of them.  There are at most as many shares
-    as units and usable CPUs.  The caller computes share 0 while one
-    forked child per other share computes its own and sends the tally
-    back over a pipe, so ``chunk`` must be a module-level function.
+    The units are dealt round-robin, so neighbours go to different shares
+    (g2's costly units, those whose matrices are not single Jordan blocks,
+    lead the block of every a).  There are at most as many shares as
+    units and usable CPUs.  The caller computes share 0 while one forked
+    child per other share computes its own and sends the tally back over
+    a pipe, so a tally, or the exception a chunk raises, must pickle;
+    ``chunk`` itself is not pickled, since the children fork.
     Every result is received before any child is joined: a large tally
     would fill the pipe and block its sender.  A child's exception is
     re-raised as it is, a child that dies without sending raises
@@ -690,8 +575,34 @@ def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
     terminated and all are joined.  Tallies add up in share order, so the
     result is the same for any number of workers.  Raises ValueError
     unless ``workers`` >= 1.
+
+    Every call forks afresh and keeps no pool (``BENCH_pool-free.json``):
+    a process forked earlier would run the code as it was at that fork,
+    and so miss the wrappers a profiler installs between calls (or a
+    test's monkeypatches), and it could outlive the caller's run.
+
+    ``run_census`` first allocates one array of ``DEFAULT_BATCH * 64``
+    bytes (2 MiB) and drops it at once, to tune glibc's allocator.  glibc
+    maps a block above its mmap threshold (128 KiB at start) on its own, and
+    when such a block of at most 32 MiB is freed, it raises that threshold
+    to the block's size and its trim threshold to twice that (``mallopt(3)``,
+    dynamic adjustment of M_MMAP_THRESHOLD).  From then on, every array
+    below 2 MiB comes from the heap, and the free top of the heap goes back
+    to the system only once it exceeds 4 MiB, so a census whose batches
+    hold less than that at once reuses the same pages from batch to batch,
+    in forked children too; otherwise the next batch faults its pages in
+    again.  The size is 64 bytes per matrix of a full batch, more than any
+    one batch array of a census within the default budget takes (at most
+    49; g2's batches hold a quarter as many matrices in up to four bytes an
+    entry), and below 4 MiB, the size from which numpy advises the kernel to
+    back an array with huge pages (``madvise``).  ``np.empty`` writes none
+    of the array, so resident memory does not grow, and nothing is held: a
+    buffer kept alive would leave no large free block, and the threshold
+    would stay down.  Under an allocator without this rule the call is one
+    short-lived allocation.  ``BENCH_heap-threshold.json`` records what it
+    changes.
     """
-    np.empty(DEFAULT_BATCH * 64, dtype=np.uint8)  # see the module docstring
+    np.empty(DEFAULT_BATCH * 64, dtype=np.uint8)  # tunes glibc; see above
     parts = max(1, min(usable_workers(workers), len(units)))
     shares = [units[w::parts] for w in range(parts)]
     if parts == 1:

@@ -6,11 +6,12 @@ exact integer brackets (with 1/2 and 1/3 scalings that must divide
 exactly).  A general positive-root combination is the strictly upper
 triangular matrix X parametrized by six field coefficients a..f.  This
 module verifies the closed forms of X^2..X^6 symbolically, predicts rank
-sequences from polynomial predicates in the parameters, counts all q^6
-matrices per Jordan type by census (validating the predicates on every
-tuple it enumerates), interpolates the counts back to polynomials in q, and
-checks the leading coefficients against the Weyl-group dimensions
-attached to the nilpotent orbits.
+sequences from polynomial predicates in the parameters, counts the q^6
+matrices per Jordan type by census, exhaustively or on the torus-weighted
+route (validating the predicates on every tuple it enumerates),
+interpolates the counts back to polynomials in q, and checks the leading
+coefficients against the Weyl-group dimensions attached to the nilpotent
+orbits.
 
 Characteristic 2 and 3 are excluded throughout (the structure constants
 involve 2 and 3).
@@ -149,11 +150,10 @@ def entry_table() -> tuple[tuple[int, int, int, int], ...]:
     from ``build_chevalley()``; ``verify_displayed_powers`` checks the X
     it assembles against the transcribed template.
 
-    No two terms share a position, so the census writes each entry of X
-    once instead of adding into it; ``_kernels.assemble`` checks that on
-    every batch.  The grading that ``torus_weights`` checks implies it: an
-    entry (i, j) of E(m, n) has w_i - w_j = (m, n), so one position lies
-    on one root.
+    No two terms share a position (``_kernels.assemble`` checks it on
+    every batch): by the grading that ``torus_weights`` checks, an entry
+    (i, j) of E(m, n) has w_i - w_j = (m, n), so one position lies on one
+    root.
     """
     return tuple((i, j, param, v) for param, root in enumerate(PARAM_ROOTS)
                  for i, row in enumerate(build_chevalley()[root])
@@ -350,8 +350,7 @@ def _predicted_batch(t: FieldTables, case, a, f, b, c, d, e) -> np.ndarray:
     4. a = f = 0: rank X is 4 unless b = c = 0 (then 2 unless d = e = 0);
        rank X^2 is 1 iff (b != 0 and 3c^2-4bd = 0) or (b = 0 and c != 0).
 
-    These are the only copy of the predicates: the census checks them
-    against the computed rank sequence of every tuple it enumerates.
+    These are the only copy of the predicates (``g2_census`` checks them).
     """
     out = np.zeros((6, len(b)), dtype=b.dtype).T  # columns stored batch-last
     if case == 1:
@@ -407,11 +406,9 @@ def _case_of(a: int, f: int) -> int:
     return 4
 
 
-# The census cuts each case block into the fewest batches of at most this
-# many tuples, of sizes differing by at most one (``cut_ranges``): three
-# slices over GF(7) keep most of the speed of larger batches for under
-# half their memory, and past GF(7) the batches cut inside slices
-# (measured in BENCH_g2-batches.json and BENCH_g2-ranges.json).
+# The most tuples in one g2 batch (see ``_census_units``): three slices
+# over GF(7) keep most of the speed of larger batches for under half their
+# memory (BENCH_g2-batches.json, BENCH_g2-ranges.json).
 _SHARED_BATCH = DEFAULT_BATCH // 4
 
 
@@ -504,22 +501,20 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
     (a, f) slice by the number of slices its torus orbit covers.  The work
     units of ``run_census`` are the ranges of ``_census_units``, each a
-    batch of at most 8,192 tuples of one case (over GF(7), 21 batches of
-    one or three slices instead of 49 of one) that takes one call of the
-    rank kernel and one of the predicate.  ``budget`` bounds the tuples
-    the chosen route enumerates.
-    Rank sequences are computed from the matrices themselves.  Each batch
-    is turned into the terms of ``entry_table()`` once for the whole batch
-    and once for the rest.  The single Jordan blocks, whose superdiagonal
-    entries a, f, 2a, a, f, a are all nonzero (the tuples of case 1), are
-    read off the first (``single_block_mask``) and counted with the
-    sequence (6,5,4,3,2,1); only the rest is assembled
-    (``_kernels.assemble``, which checks that no two terms share a
-    position) and ranked.  The polynomial
+    batch of one case that takes one call of the rank kernel and one of
+    the predicate.
+
+    Rank sequences are computed from the matrices themselves.  The single
+    Jordan blocks, whose superdiagonal entries a, f, 2a, a, f, a are all
+    nonzero (the tuples of case 1), are read off the decoded batch
+    (``single_block_mask``) and counted with the sequence
+    (6,5,4,3,2,1); only the rest is assembled and ranked.  The polynomial
     predicates of ``_predicted_batch`` are validated against the computed
     sequence for every enumerated tuple, single blocks included, and any
-    disagreement aborts the census.  Raises ValueError unless ``workers``
-    >= 1.
+    disagreement aborts the census with PredicateMismatch.  Raises
+    BadCharacteristic in characteristic 2 or 3, TooLarge when the route
+    enumerates more than ``budget`` tuples, and ValueError unless
+    ``workers`` >= 1.
     """
     _require_char(ctx)
     _check_budget(ctx.q, exhaustive, budget)

@@ -5,21 +5,9 @@ first; the zero polynomial has an empty coefficient tuple.  On top of the
 ring arithmetic this module provides the pieces the counting results rely
 on: exact interpolation from integer sample points, the split of a
 polynomial into q^a * (q-1)^b * R with R(0), R(1) nonzero, the degrees
-of the irreducible factors modulo a prime, and a certificate-producing
-irreducibility test over Z[q] (mod-p certificates, factor-degree pruning
-across primes, and a complete Kronecker search as the fallback).
-
-The factor degrees modulo p come from one distinct-degree factorization
-that splits off each factor once per multiplicity, so it needs no
-squarefree decomposition first.  It runs entirely on the packed ints of
-`_PackedRing`, the package's one implementation of GF(p)[x] modulo a
-monic f (Kronecker substitution, one polynomial per int), which also
-multiplies the elements of GF(p^k) in `fields`: one multiply, shift and
-mask reduces every coefficient mod p at once, products are reduced mod f
-by Barrett's method, and Euclid's algorithm subtracts whole multiples of
-the divisor.  Frobenius h -> h^p, which is GF(p)-linear, is a table: the
-rows x^(i p) mod f are built once per (f, p), so each degree step is a
-linear combination of big ints instead of a square-and-multiply.
+of the irreducible factors modulo a prime (`ddf_degrees`, on the packed
+ints of `_PackedRing`), and a certificate-producing irreducibility test
+over Z[q] (`irreducibility`).
 """
 
 from __future__ import annotations
@@ -45,7 +33,8 @@ class IntPoly:
     The constructor accepts any integers (ints, bools, numpy integers) and
     raises TypeError for anything else, floats and rationals included,
     instead of truncating them.  Results of the ring operations are built
-    by `_of` from lists that already hold Python ints.
+    by `_of` from lists that already hold Python ints, without coercing
+    each coefficient again (``BENCH_integer-intpoly.json``).
     """
 
     __slots__ = ("coeffs",)
@@ -457,10 +446,11 @@ def ddf_degrees(f: IntPoly, p: int) -> list[int]:
     taking gd = gcd(gd, g) until it is 1 splits each of them off once per
     multiplicity.  h stays reduced modulo f, not g: g divides f, so the
     gcd is unchanged.  Once 2d > deg g, every factor of degree below d is
-    gone with its multiplicity, so g is one irreducible factor.  Every
-    polynomial is a packed int of `_PackedRing`: products, remainders and
-    gcds reduce all coefficients mod p at once, and the only loops run over
-    the rows of a Frobenius image and the terms of a quotient.
+    gone with its multiplicity, so g is one irreducible factor.  Each
+    degree step is a linear combination of the rows, not a
+    square-and-multiply (``BENCH_frobenius-ddf.json``), and every
+    polynomial is a packed int of `_PackedRing`, whose operations reduce
+    all coefficients mod p at once (``BENCH_packed-ddf.json``).
     """
     if f.leading % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient {f.leading}")
@@ -515,8 +505,8 @@ class Verdict:
 
 CERTIFICATE_PRIMES = 10  # primes tried for mod-p certificates and degree sets
 # Steps allowed in one loop of the Kronecker search: trial divisions of one
-# value, or candidates of one degree (about a minute at 5.4 us each).  The
-# largest search of a scan to n = 13 tries 1,728 candidates.
+# value, or candidates of one degree.  The largest search of a scan to
+# n = 13 tries 1,728 candidates.
 KRONECKER_BUDGET = 10**7
 
 

@@ -156,23 +156,23 @@ def brute_force_census(n: int, ctx: FieldCtx, workers: int = 1,
     """Tally Jordan types of all strictly upper triangular n x n matrices.
 
     The q^(n-1) settings of the superdiagonal (the prefixes) are decoded
-    once.  X is a single Jordan block exactly when its superdiagonal
-    entries are all nonzero (``single_block_mask``), so each such prefix
+    once.  Each prefix of a single Jordan block (``single_block_mask``)
     adds q^C(n-1,2) matrices, one for every setting of the other entries,
-    with the sequence (n-1, ..., 1).  Every matrix of the other prefixes
+    with the sequence (n-1, ..., 1), and none of them is decoded
+    (``BENCH_prefix-ranges.json``).  Every matrix of the other prefixes
     is ranked: their matrices, prefix by prefix with the entries above
     the superdiagonal as a mixed-radix counter, are cut into index ranges
     of sizes differing by at most one (the work units of ``run_census``),
     and each range is assembled and ranked in one batch.  There are as
     few ranges of at most ``DEFAULT_BATCH`` as there can be, rounded up
-    to a multiple of the workers that run at once (as many as there are
-    usable CPUs), so that every worker gets as many ranges; never more
-    ranges than matrices.  Returns the per-partition counts.
+    to a multiple of the workers that run at once (``usable_workers``), so
+    that every worker gets as many ranges; never more ranges than
+    matrices.  Returns the per-partition counts.
     Raises TooLarge when the matrices exceed ``budget``, or over GF(p^k)
     the q^2 entries of each gather table, checked before any table is
     built; OverflowError when the field's values overflow int64
     (``FieldTables``), checked before anything is counted; and ValueError
-    unless ``workers`` >= 1.
+    unless n >= 1 and ``workers`` >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
