@@ -318,12 +318,15 @@ def assemble(terms, n: int, size: int, t: "FieldTables") -> np.ndarray:
     ``t.scale_int(coeff, values)`` otherwise; a position with no term is
     zero.  Each entry is written, not added into, so this is the one place
     that checks, for every family and batch, that no two terms share a
-    position: raises AssertionError if two do.
+    position: raises AssertionError if two do, on an empty batch too,
+    where no term is written.
     """
     positions = [(i, j) for i, j, _, _ in terms]
     if len(set(positions)) != len(positions):
         raise AssertionError(f"two terms of X share a position: {positions}")
     mats = np.zeros((n, n, size), dtype=t.dtype)
+    if not size:
+        return mats
     for i, j, values, coeff in terms:
         mats[i, j] = values if coeff % t.p == 1 else t.scale_int(coeff, values)
     return mats
@@ -342,7 +345,7 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
 
     Once a power has rank 0 on every matrix, all higher powers are zero
     too: they are not multiplied out, and each is ranked as an all-zero
-    band of its shape.
+    band of its shape, built batch-last like the others.
     """
     bsize, _, n = mats.shape
     _check_fits(t.bound(n), mats.dtype, f"GF({t.q}) values on {n} columns")
@@ -351,7 +354,8 @@ def power_rank_sequences(mats: np.ndarray, t: "FieldTables") -> np.ndarray:
     zero = False
     for i in range(1, n):
         if zero:
-            band = np.zeros((bsize, n - i, n - i), dtype=mats.dtype)
+            band = np.zeros((n - i, n - i, bsize),
+                            dtype=mats.dtype).transpose(2, 0, 1)
         else:
             if i > 1:
                 power = _band_product(t, power, base, i)
@@ -493,6 +497,8 @@ def tally_keys(tally: dict, keys: np.ndarray, length: int, weight: int = 1,
                prefix: tuple = ()) -> None:
     """Add ``weight`` to ``tally[prefix + (seq,)]`` for every packed rank
     sequence ``keys`` holds, ``seq`` being its decoded ``length``-tuple."""
+    if not keys.size:
+        return
     uniq, counts = np.unique(keys, return_counts=True)
     for key, cnt in zip(uniq, counts):
         seq = prefix + (decode_sequence(int(key), length),)
@@ -563,7 +569,7 @@ def run_census(chunk, head: tuple, units: list, workers: int) -> dict:
 
     The units are dealt round-robin, so neighbours go to different shares
     (g2's costly units, those whose matrices are not single Jordan blocks,
-    lead the block of every a).  There are at most as many shares as
+    lead its unit list).  There are at most as many shares as
     units and usable CPUs.  The caller computes share 0 while one forked
     child per other share computes its own and sends the tally back over
     a pipe, so a tally, or the exception a chunk raises, must pickle;

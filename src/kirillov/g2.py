@@ -338,7 +338,8 @@ def predicted_rank_sequence(params: G2Params, ctx: FieldCtx) -> tuple[int, ...]:
 def _predicted_batch(t: FieldTables, case, a, f, b, c, d, e) -> np.ndarray:
     """Rank sequences of X predicted from polynomial predicates alone, one
     row for each tuple of the b..e arrays (of ``t.dtype``), all in the
-    ``case`` of ``_case_of``.  ``f`` is one value or the batch's f column.
+    ``case`` of ``_case_of``.  ``a`` and ``f`` are each one value or a row
+    of the batch, like b..e.
 
     Outside case 1 every power beyond X^2 vanishes, so the sequence is
     determined by rank X and rank X^2:
@@ -412,39 +413,50 @@ def _case_of(a: int, f: int) -> int:
 _SHARED_BATCH = DEFAULT_BATCH // 4
 
 
-def _census_units(q: int, exhaustive: bool) -> list[tuple[int, int, int, int]]:
-    """The (a, lo, hi, weight) units a census walks: at fixed a, the index
-    range lo..hi-1 of the q^5 tuples (f, b, c, d, e) in radix q, f most
-    significant, so that the slice of one f is a run of q^4 indices.
+def _census_units(q: int, exhaustive: bool) -> list[tuple]:
+    """The (a, f, lo, hi, weight) units a census walks.  A unit fixes one
+    of a and f and leaves the other, given as None, free: it takes the
+    index range lo..hi-1 of the q^5 tuples (free, b, c, d, e) in radix q,
+    the free coordinate most significant, so that the slice (a, f) of one
+    free value is a run of q^4 indices.
 
-    Each case block is cut into the fewest units of at most
-    ``_SHARED_BATCH`` tuples, of sizes differing by at most one
-    (``cut_ranges``), so each unit has one case.
-    Exhaustive: at every a, the blocks f = 0 and
-    f != 0, with weight 1.  Weighted: the torus (see ``torus_weights``)
-    scales a by any nonzero s1 and f by any nonzero s2 while it maps the
-    (b, c, d, e) of a slice bijectively onto those of the image slice and
-    keeps every Jordan type.  So all slices with a != 0 tally alike, and
-    likewise for f; the blocks are the slices (a, f) in {0, 1}^2, each
-    standing for (q-1)^([a != 0] + [f != 0]) slices.
+    The units cover every enumerated slice (a, f) exactly once.  Each case
+    block is one range at one fixed value, cut into the fewest units of at
+    most ``_SHARED_BATCH`` tuples, of sizes differing by at most one
+    (``cut_ranges``), so each unit has one case.  Exhaustive, with weight
+    1: at f = 0, the blocks a = 0 (case 4) and a != 0 (case 3), then at
+    every a the block f != 0 (case 2 at a = 0, case 1 elsewhere), so the
+    costly units, those whose matrices are not single Jordan blocks, lead
+    the list.  Weighted: the torus (see ``torus_weights``) scales a by any
+    nonzero s1 and f by any nonzero s2 while it maps the (b, c, d, e) of a
+    slice bijectively onto those of the image slice and keeps every Jordan
+    type.  So all slices with a != 0 tally alike, and likewise for f; the
+    blocks are the slices (a, f) in {0, 1}^2 at fixed a, each standing for
+    (q-1)^([a != 0] + [f != 0]) slices.
     """
     inner = q**4
     if exhaustive:
-        blocks = [(a, lo, hi, 1) for a in range(q)
-                  for lo, hi in ((0, inner), (inner, q * inner))]
+        blocks = [(None, 0, 0, inner, 1), (None, 0, inner, q * inner, 1)]
+        blocks += [(a, None, inner, q * inner, 1) for a in range(q)]
     else:
         torus_weights()  # raises unless the basis is graded as assumed above
-        blocks = [(a, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
+        blocks = [(a, None, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
                   for a in (0, 1) for f in (0, 1)]
-    return [(a, x, y, weight) for a, lo, hi, weight in blocks
+    return [(a, f, x, y, weight) for a, f, lo, hi, weight in blocks
             for x, y in cut_ranges(lo, hi, -(-(hi - lo) // _SHARED_BATCH))]
 
 
-def _terms(a, fbcde) -> list:
+def _a_and_f(unit: tuple, free) -> tuple:
+    """a and f on the tuples of a unit of ``_census_units``: its fixed
+    value, and ``free`` (one value or a row of the batch) for the other."""
+    return tuple(free if x is None else x for x in unit[:2])
+
+
+def _terms(a, f, bcde) -> list:
     """The terms of X, as ``_kernels.single_block_mask`` and
-    ``_kernels.assemble`` read them, for the value ``a`` and the rows
-    (f, b, c, d, e) of a decoded batch."""
-    coords = (a, *fbcde[1:], fbcde[0])
+    ``_kernels.assemble`` read them, for a and f (each one value or a row
+    of a decoded batch) and the rows (b, c, d, e) of that batch."""
+    coords = (a, *bcde, f)
     return [(i, j, coords[param], coeff)
             for i, j, param, coeff in entry_table()]
 
@@ -453,18 +465,22 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
     tables = FieldTables(ctx, DIM)
     q = ctx.q
     tally: dict[tuple, int] = {}
-    for a_val, lo, hi, weight in units:
+    for unit in units:
+        _, _, lo, hi, weight = unit
         digits = decode_mixed_radix(lo, hi, q, 5, dtype=tables.dtype).T
-        f, b, c, d, e = digits
-        case = _case_of(a_val, lo // q**4)
-        single = single_block_mask(DIM, _terms(a_val, digits), ctx.p, hi - lo)
+        a, f = _a_and_f(unit, digits[0])
+        b, c, d, e = digits[1:]
+        case = _case_of(*_a_and_f(unit, lo // q**4))
+        single = single_block_mask(DIM, _terms(a, f, digits[1:]), ctx.p,
+                                   hi - lo)
         singles = int(np.count_nonzero(single))
         rest = digits
         if singles:
             full = (case, FULL_RANK_SEQ)
             tally[full] = tally.get(full, 0) + weight * singles
             rest = digits.compress(~single, axis=1)
-        mats = assemble(_terms(a_val, rest), DIM, rest.shape[1], tables)
+        mats = assemble(_terms(*_a_and_f(unit, rest[0]), rest[1:]), DIM,
+                        rest.shape[1], tables)
         seqs = power_rank_sequences(tables.embed(mats.transpose(2, 0, 1)),
                                     tables)
         # every tuple is checked, the single blocks against (6,5,4,3,2,1)
@@ -473,13 +489,14 @@ def _g2_chunk(ctx: FieldCtx, units: list) -> dict:
             computed = np.empty((DIM - 1, hi - lo), dtype=tables.dtype).T
             computed[:] = FULL_RANK_SEQ
             computed[~single] = seqs
-        pred = _predicted_batch(tables, case, a_val, f, b, c, d, e)
+        pred = _predicted_batch(tables, case, a, f, b, c, d, e)
         bad = (computed != pred).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
-            bcdef = ",".join(str(x[i]) for x in (b, c, d, e, f))
+            abcdef = ",".join(str(x if np.ndim(x) == 0 else x[i])
+                              for x in (a, b, c, d, e, f))
             raise PredicateMismatch(
-                f"q={q} params (a,b,c,d,e,f)=({a_val},{bcdef}): predicted "
+                f"q={q} params (a,b,c,d,e,f)=({abcdef}): predicted "
                 f"{tuple(pred[i].tolist())}, "
                 f"computed {tuple(computed[i].tolist())}")
         tally_keys(tally, encode_sequences(seqs), DIM - 1, weight, (case,))
@@ -500,9 +517,12 @@ def g2_census(ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET,
     By default the census walks all q^6 tuples.  ``exhaustive=False``
     enumerates only the 4q^4 tuples with a, f in {0, 1} and weights each
     (a, f) slice by the number of slices its torus orbit covers.  The work
-    units of ``run_census`` are the ranges of ``_census_units``, each a
-    batch of one case that takes one call of the rank kernel and one of
-    the predicate.
+    units of ``run_census`` are those of ``_census_units``: each fixes a
+    or f, decodes a range of the other five coordinates, and is a batch of
+    one case that takes one call of the rank kernel and one of the
+    predicate.  The exhaustive route takes the f = 0 tuples at fixed f,
+    with a decoded per tuple, so that cases 3 and 4 are one range each,
+    and the others at fixed a.
 
     Rank sequences are computed from the matrices themselves.  The single
     Jordan blocks, whose superdiagonal entries a, f, 2a, a, f, a are all

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from kirillov._kernels import FieldTables, decode_mixed_radix, single_block_mask
 from kirillov.errors import (
     BadCharacteristic,
     InsufficientPoints,
@@ -298,41 +299,65 @@ def test_census_worker_determinism(monkeypatch):
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17])
 def test_census_units_hold_one_case_in_whole_slices(q):
-    # each case block is tiled in order by the fewest units of at most
-    # 8,192 tuples, whose sizes differ by at most one
+    # each unit fixes a or f and holds one case; each case block is tiled
+    # in order by the fewest units of at most 8,192 tuples, whose sizes
+    # differ by at most one; and the units cover every enumerated slice
+    # (a, f) exactly once, with its torus weight
     import kirillov.g2 as g2mod
 
     inner = q**4
-    blocks = {
-        True: [(a, lo, hi, 1) for a in range(q)
-               for lo, hi in ((0, inner), (inner, q * inner))],
-        False: [(a, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
-                for a in (0, 1) for f in (0, 1)],
-    }
-    for exhaustive, route_blocks in blocks.items():
+    slices = {True: {(a, f): 1 for a in range(q) for f in range(q)},
+              False: {(a, f): (q - 1) ** (a + f) for a in (0, 1)
+                      for f in (0, 1)}}
+    for exhaustive, weights in slices.items():
         units = g2mod._census_units(q, exhaustive)
-        at = 0
-        for a, lo, hi, weight in route_blocks:
-            parts = -(-(hi - lo) // 8192)
-            block = units[at:at + parts]
-            at += parts
-            assert [u[0] for u in block] == [a] * parts
-            assert [u[3] for u in block] == [weight] * parts
-            assert block[0][1] == lo and block[-1][2] == hi
-            assert all(x[2] == y[1] for x, y in zip(block, block[1:]))
-            sizes = [u[2] - u[1] for u in block]
+        covered = dict.fromkeys(weights, 0)
+        blocks = []
+        for unit in units:
+            a, f, lo, hi, weight = unit
+            assert (a is None) != (f is None) and 0 <= lo < hi <= q * inner
+            cases = set()
+            for free in range(lo // inner, -(-hi // inner)):
+                key = g2mod._a_and_f(unit, free)
+                assert weights[key] == weight
+                covered[key] += (min(hi, (free + 1) * inner)
+                                 - max(lo, free * inner))
+                cases.add(g2mod._case_of(*key))
+            assert len(cases) == 1
+            block = (a, f, cases.pop())
+            if not blocks or blocks[-1][0] != block:
+                blocks.append((block, []))
+            blocks[-1][1].append((lo, hi))
+        assert covered == dict.fromkeys(weights, inner)
+        assert len({block for block, _ in blocks}) == len(blocks)
+        for _, ranges in blocks:
+            assert all(x[1] == y[0] for x, y in zip(ranges, ranges[1:]))
+            sizes = [hi - lo for lo, hi in ranges]
             assert max(sizes) <= 8192 and max(sizes) - min(sizes) <= 1
-            assert all((u[1] < inner) == (u[2] <= inner) for u in block)
-        assert at == len(units)
-    # over GF(5) and GF(7) the units are runs of whole slices: over GF(7),
-    # the slice f = 0 and two runs of three, 21 units of 2,401 and 7,203
-    # tuples
-    runs = {5: ((0, 1), (1, 5)), 7: ((0, 1), (1, 4), (4, 7))}
-    if q in runs:
-        assert g2mod._census_units(q, True) == [
-            (a, first * inner, last * inner, 1)
-            for a in range(q) for first, last in runs[q]]
-        assert g2mod._census_units(q, False) == blocks[False]
+            assert len(ranges) == -(-sum(sizes) // 8192)
+    # over GF(7): the f = 0 blocks a = 0 and a != 0 (two units of 7,203),
+    # then the block f != 0 at each a, also in two units; only the five
+    # units of the first three blocks hold matrices that are not single
+    # Jordan blocks, and the weighted route walks its four slices whole
+    if q == 7:
+        halves = [(inner, 4 * inner), (4 * inner, 7 * inner)]
+        exhaustive = g2mod._census_units(q, True)
+        assert exhaustive == [(None, 0, 0, inner, 1)] + [
+            (None, 0, lo, hi, 1) for lo, hi in halves] + [
+            (a, None, lo, hi, 1) for a in range(q) for lo, hi in halves]
+        tables = FieldTables(make_prime_field(q), g2mod.DIM)
+        ranked = []
+        for unit in exhaustive:
+            digits = decode_mixed_radix(unit[2], unit[3], q, 5,
+                                        tables.dtype).T
+            terms = g2mod._terms(*g2mod._a_and_f(unit, digits[0]),
+                                 digits[1:])
+            ranked.append(not single_block_mask(g2mod.DIM, terms, q,
+                                                digits.shape[1]).all())
+        assert ranked == [True] * 5 + [False] * 12
+        assert g2mod._census_units(q, False) == [
+            (a, None, f * inner, (f + 1) * inner, (q - 1) ** (a + f))
+            for a in (0, 1) for f in (0, 1)]
 
 
 def test_exhaustive_census_calls_the_predicate_once_per_unit(monkeypatch):
@@ -347,7 +372,7 @@ def test_exhaustive_census_calls_the_predicate_once_per_unit(monkeypatch):
 
     monkeypatch.setattr(g2mod, "_predicted_batch", counted)
     assert g2_census(make_prime_field(7)).total == 7**6
-    assert len(calls) == 21 and sum(calls) == 7**6
+    assert len(calls) == 17 and sum(calls) == 7**6
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -384,7 +409,7 @@ def test_a_mismatch_in_a_shared_batch_names_its_own_slice(monkeypatch):
     # wrong only on the third of them is reported with that slice's f
     import kirillov.g2 as g2mod
 
-    assert (0, 5**4, 5**5, 1) in g2mod._census_units(5, True)
+    assert (0, None, 5**4, 5**5, 1) in g2mod._census_units(5, True)
     original = g2mod._predicted_batch
 
     def wrong_on_the_third_slice(t, case, a, f, b, c, d, e):
@@ -395,6 +420,26 @@ def test_a_mismatch_in_a_shared_batch_names_its_own_slice(monkeypatch):
 
     monkeypatch.setattr(g2mod, "_predicted_batch", wrong_on_the_third_slice)
     with pytest.raises(PredicateMismatch, match=r"=\(0,4,4,4,4,3\)"):
+        g2_census(make_prime_field(5))
+
+
+def test_a_mismatch_in_an_f_zero_batch_names_its_own_a(monkeypatch):
+    # over GF(5) the slices a = 1..4 at f = 0 share one batch, where a is
+    # decoded per tuple; a predicate wrong only at a = 3 is reported with
+    # that a
+    import kirillov.g2 as g2mod
+
+    assert (None, 0, 5**4, 5**5, 1) in g2mod._census_units(5, True)
+    original = g2mod._predicted_batch
+
+    def wrong_at_a_3(t, case, a, f, b, c, d, e):
+        out = original(t, case, a, f, b, c, d, e)
+        if case == 3:  # f = 0, a != 0
+            out[np.flatnonzero(a == 3)[-1], 0] = 0
+        return out
+
+    monkeypatch.setattr(g2mod, "_predicted_batch", wrong_at_a_3)
+    with pytest.raises(PredicateMismatch, match=r"=\(3,4,4,4,4,0\)"):
         g2_census(make_prime_field(5))
 
 

@@ -198,12 +198,13 @@ def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
     zero_from_3 = _g2_slice(ctx, 0, rng, 60)
     mixed = zero_from_3[:30] + [_random_rows(rng, q, 7, 7, upper=True)
                                 for _ in range(30)]
-    shapes, products = [], []
+    shapes, products, batch_last = [], [], []
     rank = kernels.rank_batch
     band_product = kernels._band_product
 
     def counted_rank(mats, t):
         shapes.append(mats.shape)
+        batch_last.append(mats.transpose(1, 2, 0).flags.c_contiguous)
         return rank(mats, t)
 
     def counted_product(t, power, base, i):
@@ -215,6 +216,7 @@ def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
     for rows, last_product in ((zero_from_3, 3), (mixed, 6)):
         shapes.clear()
         products.clear()
+        batch_last.clear()
         seqs = power_rank_sequences(np.array(rows, dtype=tables.dtype), tables)
         assert [tuple(int(x) for x in seq) for seq in seqs] == \
             [rank_sequence(FMatrix(ctx, row)) for row in rows]
@@ -223,6 +225,8 @@ def test_power_ranks_stop_multiplying_past_the_first_zero_power(q,
         assert shapes == [(len(rows), 7 - i, 7 - i) for i in range(1, 7)]
         if ctx.k > 1:
             assert products == list(range(2, last_product + 1))
+        # the all-zero bands past the first zero power are built batch-last
+        assert batch_last[last_product:] == [True] * (6 - last_product)
     # the mixed batch: X^3 = 0 on its g2 rows but not on every random one
     assert all(seq[2:] == (0, 0, 0, 0) for seq in map(tuple, seqs[:30]))
     assert any(seq[2] > 0 for seq in map(tuple, seqs[30:]))
@@ -509,23 +513,27 @@ def test_single_block_mask_finds_the_matrices_of_one_jordan_block(q):
 def test_assembled_g2_batch_is_the_matrix_x_of_each_tuple(q):
     # the terms of X for one a and a batch of (f, b, c, d, e), as the g2
     # census builds them, assemble to x_of of every tuple; over GF(25)
-    # every coefficient other than 1 is scaled by a table gather
+    # every coefficient other than 1 is scaled by a table gather.  The
+    # census fixes a and decodes f per tuple, or fixes f and decodes a
     import kirillov.g2 as g2
 
     ctx = field_of_order(q)
     tables = FieldTables(ctx, g2.DIM)
     rng = random.Random(q)
-    for a in range(q):
-        fbcde = np.array([[rng.randrange(q) for _ in range(40)]
-                          for _ in range(5)], dtype=tables.dtype)
-        mats = assemble(g2._terms(a, fbcde), g2.DIM, 40, tables)
-        assert mats.shape == (g2.DIM, g2.DIM, 40)
-        assert mats.dtype == tables.dtype
-        for m in range(40):
-            f, b, c, d, e = (int(x) for x in fbcde[:, m])
-            params = g2.G2Params(a, b, c, d, e, f)
-            assert [tuple(row) for row in mats[:, :, m].tolist()] == \
-                list(g2.x_of(params, ctx).rows)
+    for fixed in range(q):
+        for a_fixed in (True, False):
+            lead, b, c, d, e = np.array(
+                [[rng.randrange(q) for _ in range(40)] for _ in range(5)],
+                dtype=tables.dtype)
+            a, f = (fixed, lead) if a_fixed else (lead, fixed)
+            mats = assemble(g2._terms(a, f, (b, c, d, e)), g2.DIM, 40, tables)
+            assert mats.shape == (g2.DIM, g2.DIM, 40)
+            assert mats.dtype == tables.dtype
+            for m in range(40):
+                params = g2.G2Params(*(int(x if np.ndim(x) == 0 else x[m])
+                                       for x in (a, b, c, d, e, f)))
+                assert [tuple(row) for row in mats[:, :, m].tolist()] == \
+                    list(g2.x_of(params, ctx).rows)
 
 
 @pytest.mark.parametrize("n, q", [(3, 4), (4, 4), (5, 2)])
@@ -560,6 +568,11 @@ def test_assemble_rejects_two_terms_on_one_position():
         coords[2].tolist()
     with pytest.raises(AssertionError, match="share a position"):
         assemble(terms + [(0, 2, coords[0], 1)], 3, 5, tables)
+    # an empty batch writes no term, and is checked all the same
+    empty = typea._terms(3, coords[:, :0])
+    assert assemble(empty, 3, 0, tables).shape == (3, 3, 0)
+    with pytest.raises(AssertionError, match="share a position"):
+        assemble(empty + [(0, 2, coords[0, :0], 1)], 3, 0, tables)
 
 
 @pytest.mark.parametrize("lo, hi, count", [
@@ -980,10 +993,10 @@ def test_censuses_decode_their_spaces_exactly(monkeypatch):
     # decodes the q^(n-1) settings of the superdiagonal once, then each
     # unit's range of the matrices it ranks, as an index below q^C(n,2);
     # the ranges tile those matrices once.  g2 decodes each unit's range
-    # of the q^5 tuples (f, b, c, d, e) once, and at each a the ranges are
-    # disjoint and together cover q^6 tuples (exhaustive) or 4 q^4
-    # (weighted) exactly once.  Every unit runs in this process, with the
-    # ranges a two-worker census cuts too
+    # of the q^5 tuples (free, b, c, d, e) once, and the ranges tile each
+    # enumerated slice (a, f) once: q^2 slices (exhaustive) or 4
+    # (weighted).  Every unit runs in this process, with the ranges a
+    # two-worker census cuts too
     import kirillov._kernels as kernels
     import kirillov.g2 as g2
     import kirillov.typea as typea
@@ -1011,19 +1024,23 @@ def test_censuses_decode_their_spaces_exactly(monkeypatch):
         space = _non_single_count(n, q)
         assert _tilings([(lo, hi, space) for lo, hi in units]) == 1
         assert len(units) == count
-    q = 5
-    for exhaustive, tuples in ((True, q**6), (False, 4 * q**4)):
+    q, inner = 5, 5**4
+    for exhaustive, slices in ((True, q**2), (False, 4)):
         calls.clear()
         units.clear()
         g2.g2_census(field_of_order(q), exhaustive=exhaustive)
-        assert calls == [(lo, hi, q**5) for _, lo, hi, _ in units]
-        covered = 0
-        for a in {unit[0] for unit in units}:
-            ranges = sorted((lo, hi) for b, lo, hi, _ in units if b == a)
-            ends = [0] + [x for lo_hi in ranges for x in lo_hi] + [q**5]
-            assert ends == sorted(ends) and all(lo < hi for lo, hi in ranges)
-            covered += sum(hi - lo for lo, hi in ranges)
-        assert covered == tuples
+        assert calls == [(lo, hi, q**5) for _, _, lo, hi, _ in units]
+        # each unit's range, cut at the slice boundaries, in the slice
+        # (a, f) of each value of its free coordinate
+        pieces: dict = {}
+        for unit in units:
+            _, _, lo, hi, _ = unit
+            for free in range(lo // inner, -(-hi // inner)):
+                piece = (max(lo, free * inner) - free * inner,
+                         min(hi, (free + 1) * inner) - free * inner, inner)
+                pieces.setdefault(g2._a_and_f(unit, free), []).append(piece)
+        assert len(pieces) == slices
+        assert all(_tilings(sorted(p)) == 1 for p in pieces.values())
 
 
 def _upper_keys(mats: np.ndarray, q: int) -> np.ndarray:
